@@ -5,7 +5,8 @@ scan-decay.  Each writes its data as CSV (full-precision scientific notation,
 17 significant digits) plus a single manifest.json into the output directory.
 Flags override config-file values; the manifest records the merged result.
 
-Exit codes: 0 success, 1 a --check threshold failed, 2 usage error.
+Exit codes: 0 success; 1 a --check threshold failed, or an error such as an
+unreadable or invalid --config; 2 usage error, including a malformed --range.
 """
 
 from __future__ import annotations
@@ -17,25 +18,26 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .config import (
     make_manifest,
+    read_config,
     resolve_config_data,
     write_manifest,
 )
 from .core import TimeGrid, vitanov_theta_dot
 from .engine import synthesize_tqd_pulses, tqd_detuning_ratio, tqd_max_coupling
-from .errors import ConfigError, StaControlError
+from .errors import StaControlError
 from .experiments import (
     DEFAULT_KAPPA_GRID,
-    decay_run,
+    converged_run,
     run_decay_scan,
     run_delay_scan,
     run_detuning_scan,
     run_fig2_suite,
-    run_fig4_transfer,
 )
+# not called here; bench/tracer.py wraps these names to count trajectory reruns
+from .experiments import decay_run, run_fig4_transfer  # noqa: F401
 
 OUTDIR_ENV = "STACONTROL_OUT"
 
@@ -55,6 +57,12 @@ def _write_csv(path: Path, header, rows) -> None:
 def _write_trajectory(path: Path, traj) -> None:
     _write_csv(path, ["t", "p1", "p_m", "p2"],
                np.column_stack([traj.times, traj.populations]))
+
+
+def _write_trajectories(outdir: Path, result, prefix: str = "trajectory") -> None:
+    """A scan's own trajectories, one `<prefix>_NNN.csv` per row."""
+    for i, traj in enumerate(result.trajectories):
+        _write_trajectory(outdir / f"{prefix}_{i:03d}.csv", traj)
 
 
 def _parse_range(text: str) -> list[float]:
@@ -79,12 +87,9 @@ def _outdir(args) -> Path:
 
 def _merge_config(args, overrides: dict) -> "ResolvedConfig":
     """Config file (if any) overlaid with CLI flag values, then resolved."""
-    data: dict = {}
-    if getattr(args, "config", None):
-        raw = yaml.safe_load(Path(args.config).read_text()) or {}
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{args.config}: top level must be a mapping")
-        data = raw
+    data, base_dir = {}, None
+    if args.config:
+        data, base_dir = read_config(args.config), Path(args.config).parent
     for section, fields in overrides.items():
         sec = dict(data.get(section) or {})
         for key, value in fields.items():
@@ -92,7 +97,6 @@ def _merge_config(args, overrides: dict) -> "ResolvedConfig":
                 sec[key] = value
         if sec:
             data[section] = sec
-    base_dir = Path(args.config).parent if getattr(args, "config", None) else None
     return resolve_config_data(data, base_dir=base_dir)
 
 
@@ -135,10 +139,8 @@ def cmd_transfer(args) -> int:
     nu = rc.system.schedule.nu
     delta = rc.system.schedule.delta
     dims = rc.system.fock_dims
-    rtol = rc.solver["rtol_unitary"]
-    res = run_fig4_transfer(delta, nu, dims, rc.grid, rtol=rtol)
-    res_half = run_fig4_transfer(delta, nu, dims, rc.grid, rtol=rtol / 2)
-    conv = abs(res.final_p2 - res_half.final_p2)
+    res, _, _, conv = converged_run("final-p2", rc.solver["rtol_unitary"],
+                                    delta=delta, nu=nu, dims=dims, grid=rc.grid)
     outdir = _outdir(args)
     _write_trajectory(outdir / "trajectory.csv", res.trajectory)
     print(f"transfer: final p2 = {res.final_p2:.6f}, "
@@ -188,25 +190,17 @@ def cmd_fig2_suite(args) -> int:
 
 def cmd_scan_detuning(args) -> int:
     rc = _merge_config(args, {"schedule": {"nu": args.nu}})
-    if args.values:
-        deltas = args.values
-    elif args.range:
-        deltas = _parse_range(args.range)
-    else:
-        deltas = [20.0, 28.0, 40.0, 57.0, 80.0, 113.0, 160.0, 200.0]
-    nu = rc.system.schedule.nu
-    result = run_detuning_scan(deltas, nu, rtol=rc.solver["rtol_unitary"],
-                               workers=args.workers)
+    deltas = args.values or args.range or [20.0, 28.0, 40.0, 57.0, 80.0, 113.0,
+                                           160.0, 200.0]
+    result = run_detuning_scan(deltas, rc.system.schedule.nu,
+                               rtol=rc.solver["rtol_unitary"], workers=args.workers)
     outdir = _outdir(args)
     _write_csv(outdir / "scan_detuning.csv",
                ["delta", "max_phonon", "convergence_delta", "detuning_ratio"],
                [row + (ratio,) for row, ratio
                 in zip(result.rows, result.meta["detuning_ratios"])])
     if args.save_trajectories:
-        for i, delta in enumerate(result.parameter_values):
-            res = run_fig4_transfer(float(delta), nu,
-                                    rtol=rc.solver["rtol_unitary"])
-            _write_trajectory(outdir / f"trajectory_{i:03d}.csv", res.trajectory)
+        _write_trajectories(outdir, result)
     failures = []
     phonon = result.metric_values
     if len(phonon) > 1 and not np.all(np.diff(phonon) < 0):
@@ -219,21 +213,14 @@ def cmd_scan_detuning(args) -> int:
 
 def cmd_scan_delay(args) -> int:
     rc = _merge_config(args, {"schedule": {"nu": args.nu, "delta": args.delta}})
-    delta_ts = args.values or _parse_range(args.range or "-0.6:0.6:0.05")
-    nu = rc.system.schedule.nu
-    delta = rc.system.schedule.delta
-    rtol = rc.solver["rtol_unitary"]
-    result = run_delay_scan(delta_ts, args.pulse, delta, nu, rtol=rtol,
-                            workers=args.workers)
+    result = run_delay_scan(args.values or args.range, args.pulse,
+                            rc.system.schedule.delta, rc.system.schedule.nu,
+                            rtol=rc.solver["rtol_unitary"], workers=args.workers)
     outdir = _outdir(args)
     _write_csv(outdir / "scan_delay.csv",
                ["delta_t", "final_p2", "convergence_delta"], result.rows)
     if args.save_trajectories:
-        for i, dt in enumerate(result.parameter_values):
-            delays = (float(dt), 0.0) if args.pulse == "G1" else (0.0, float(dt))
-            res = run_fig4_transfer(delta, nu, delays=delays,
-                                    grid=TimeGrid(*result.meta["grid"]), rtol=rtol)
-            _write_trajectory(outdir / f"trajectory_{i:03d}.csv", res.trajectory)
+        _write_trajectories(outdir, result)
     failures = []
     baseline_rows = [r for r in result.rows if r[0] == 0.0]
     if baseline_rows:
@@ -272,11 +259,7 @@ def cmd_scan_decay(args) -> int:
     _write_csv(outdir / "scan_decay.csv", header, rows)
     if args.save_trajectories:
         for protocol in protocols:
-            for i, kappa in enumerate(kappas):
-                traj, _ = decay_run(float(kappa), protocol,
-                                    0.5 if protocol == "adiabatic" else 2.0,
-                                    gamma_m=gamma_m, n_th=n_th, rtol=rtol)
-                _write_trajectory(outdir / f"trajectory_{protocol}_{i:03d}.csv", traj)
+            _write_trajectories(outdir, results[protocol], f"trajectory_{protocol}")
     failures = []
     for protocol in protocols:
         fvals = results[protocol].metric_values
@@ -300,7 +283,7 @@ def _add_common(sub):
     sub.add_argument("--workers", type=int, default=1,
                      help="process-pool size for scan points")
     sub.add_argument("--save-trajectories", action="store_true",
-                     help="also write per-point trajectory CSVs")
+                     help="also write the trajectory behind each row as CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("scan-detuning", help="max phonon number vs detuning")
     p.add_argument("--nu", type=float)
     p.add_argument("--values", type=float, nargs="+")
-    p.add_argument("--range", help="a:b:step")
+    p.add_argument("--range", type=_parse_range, help="a:b:step")
     _add_common(p)
     p.set_defaults(func=cmd_scan_detuning)
 
@@ -342,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float)
     p.add_argument("--pulse", choices=["G1", "G2", "both"], default="G1")
     p.add_argument("--values", type=float, nargs="+")
-    p.add_argument("--range", help="a:b:step (default -0.6:0.6:0.05)")
+    p.add_argument("--range", type=_parse_range, default="-0.6:0.6:0.05",
+                   help="a:b:step (default -0.6:0.6:0.05)")
     _add_common(p)
     p.set_defaults(func=cmd_scan_delay)
 

@@ -73,8 +73,9 @@ def _reject_unknown(section: dict, path: str) -> None:
         raise ConfigError(f"{path}: unknown field(s) {sorted(section)}")
 
 
-def parse_config(path) -> ResolvedConfig:
-    """Load, validate and default-fill a YAML config file."""
+def read_config(path) -> dict:
+    """The top-level mapping of a YAML config file (an empty file reads as
+    {}); a file that cannot be read or parsed raises ConfigError."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -90,7 +91,12 @@ def parse_config(path) -> ResolvedConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    return resolve_config_data(data, base_dir=path.parent)
+    return data
+
+
+def parse_config(path) -> ResolvedConfig:
+    """Load, validate and default-fill a YAML config file."""
+    return resolve_config_data(read_config(path), base_dir=Path(path).parent)
 
 
 def resolve_config_data(data: dict, base_dir: Path | None = None) -> ResolvedConfig:

@@ -225,7 +225,7 @@ def evolve_schrodinger(h_fn, psi0, dims, grid: TimeGrid,
         "norm_drift": float(np.max(np.abs(norms - norms[0]))),
         "rtol": rtol, "atol": atol, "picture": "schrodinger", "dims": tuple(dims),
     }
-    return Trajectory(sol.t, populations, states[-1],
+    return Trajectory(sol.t, populations, states[-1].copy(),
                       states if store_states else None, meta)
 
 
@@ -284,7 +284,7 @@ def evolve_lindblad(h_fn, config: SystemConfig, rho0, grid: TimeGrid,
             TruncationWarning, stacklevel=2,
         )
 
-    rho_final = rhos[-1]
+    rho_final = rhos[-1].copy()  # a view would keep the whole history alive
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho_final + rho_final.conj().T)).min())
     meta = {
         "trace_drift": float(np.max(np.abs(traces - traces[0]))),

@@ -10,9 +10,10 @@
                   and transitionless protocols.
 
 Runs are deterministic: fixed integrator, fixed tolerances, no randomness.
-Every scan row carries a convergence delta (metric change when the relative
-tolerance is halved).  Scan points may be distributed over a process pool;
-result assembly is order-preserving.
+Every scan row comes from `converged_run`: the point is run at the relative
+tolerance and at half of it, and the row carries the metric change as its
+convergence delta plus the full-tolerance trajectory.  Scan points may be
+distributed over a process pool; result assembly is order-preserving.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,13 +42,19 @@ from .dynamics import (
 from .engine import build_adiabatic_matrix, synthesize_tqd_pulses, tqd_detuning_ratio
 from .errors import InvalidParameterError
 
-SCAN_PARAMETERS = ("delay-dt1", "delay-dt2", "detuning-delta", "decay-kappa",
-                   "shape-rate-nu")
+SCAN_PARAMETERS = ("delay-dt1", "delay-dt2", "delay-both", "detuning-delta",
+                   "decay-kappa", "shape-rate-nu")
 SCAN_METRICS = ("final-p2", "fidelity-F", "max-phonon")
 
 DEFAULT_KAPPA_GRID = (0.0, 0.005, 0.01, 0.02, 0.05, 0.1)
 DEFAULT_DELAY_PAD = 12.0  # us; wide enough that a shifted pulse is never clipped
 FIG2_PAD_WIDTHS = 5.0     # extra sigmoid widths (units of 1/nu) on each side
+# which_pulse -> (scan parameter, pulse delays for a shift dt)
+DELAY_PULSES = {
+    "G1": ("delay-dt1", lambda dt: (dt, 0.0)),
+    "G2": ("delay-dt2", lambda dt: (0.0, dt)),
+    "both": ("delay-both", lambda dt: (dt, dt)),
+}
 
 
 @dataclass(frozen=True)
@@ -79,11 +86,13 @@ class ScanSpec:
 @dataclass(frozen=True, eq=False)
 class ScanResult:
     """Rows of (parameter value, metric value, convergence delta) plus
-    provenance (config hash, engine, tolerances) and scan-specific extras."""
+    provenance (config hash, engine, tolerances), scan-specific extras and
+    the trajectory each row's metric was taken from, in row order."""
 
     rows: tuple
     provenance: dict
     meta: dict = field(default_factory=dict)
+    trajectories: tuple = ()
 
     @property
     def parameter_values(self) -> np.ndarray:
@@ -214,16 +223,44 @@ def run_fig4_transfer(delta: float = 40.0, nu: float = 2.0,
     )
 
 
+# -- scan rows --------------------------------------------------------------
+
+def _run_metric(metric: str, rtol: float, run_args: dict):
+    if metric == "fidelity-F":
+        res = decay_run(**run_args, rtol=rtol)
+        return res, res[0], res[1]
+    res = run_fig4_transfer(**run_args, rtol=rtol)
+    return res, res.trajectory, res.max_phonon if metric == "max-phonon" else res.final_p2
+
+
+def converged_run(metric: str, rtol: float, **run_args):
+    """One point at `rtol` and at half of it: the convergence policy of every
+    scan row.  `metric` is a SCAN_METRICS name; "fidelity-F" runs `decay_run`,
+    the others `run_fig4_transfer`, with `run_args`.  Returns the `rtol` run's
+    own result (a TransferResult, or decay_run's (trajectory, F) pair), its
+    trajectory, its metric and the metric's change (the convergence delta)."""
+    res, traj, value = _run_metric(metric, rtol, run_args)
+    _, _, value_half = _run_metric(metric, rtol / 2, run_args)
+    return res, traj, value, abs(value - value_half)
+
+
+def _scan_row(item):
+    value, metric, run_args, rtol = item
+    _, traj, got, delta = converged_run(metric, rtol, **run_args)
+    return (value, got, delta), traj
+
+
+def _scan(spec: ScanSpec, run_args, engine: str, rtol: float,
+          workers: int) -> ScanResult:
+    """One row per `spec` value, run with the matching entry of `run_args`."""
+    out = _map_ordered(_scan_row, [(v, spec.metric, args, rtol)
+                                   for v, args in zip(spec.values, run_args)], workers)
+    return ScanResult(tuple(row for row, _ in out),
+                      _provenance(engine, asdict(spec), rtol),
+                      trajectories=tuple(traj for _, traj in out))
+
+
 # -- detuning scan ----------------------------------------------------------
-
-def _detuning_point(args):
-    delta, nu, dims, n_points, rtol = args
-    grid = TimeGrid(0.0, 10.0 / nu, n_points)
-    res = run_fig4_transfer(delta, nu, dims, grid, rtol=rtol)
-    res_half = run_fig4_transfer(delta, nu, dims, grid, rtol=rtol / 2)
-    return (delta, res.max_phonon, abs(res.max_phonon - res_half.max_phonon),
-            res.detuning_ratio)
-
 
 def run_detuning_scan(deltas, nu: float = 2.0, dims=(2, 2, 2),
                       n_points: int = 2001, rtol: float = RTOL_UNITARY,
@@ -237,40 +274,24 @@ def run_detuning_scan(deltas, nu: float = 2.0, dims=(2, 2, 2),
     """
     spec = ScanSpec("detuning-delta", tuple(deltas), "max-phonon",
                     {"nu": nu, "dims": tuple(dims)})
-    out = _map_ordered(_detuning_point,
-                       [(float(d), nu, tuple(dims), n_points, rtol)
-                        for d in spec.values], workers)
-    rows = tuple((d, mp, cd) for d, mp, cd, _ in out)
-    ratios = np.array([r for _, _, _, r in out])
-    meta: dict = {"detuning_ratios": ratios}
-    if len(rows) > 1:
-        phonon = np.array([mp for _, mp, _, _ in out])
-        meta["slope_vs_ratio"] = float(np.polyfit(np.log(ratios), np.log(phonon), 1)[0])
-        meta["slope_vs_delta"] = float(
+    grid = TimeGrid(0.0, 10.0 / nu, n_points)
+    result = _scan(spec, [{"delta": d, "nu": nu, "dims": tuple(dims), "grid": grid}
+                          for d in spec.values], "schrodinger", rtol, workers)
+    ratios = np.array([tqd_detuning_ratio(nu, d) for d in spec.values])
+    result.meta["detuning_ratios"] = ratios
+    if len(result.rows) > 1:
+        phonon = result.metric_values
+        result.meta["slope_vs_ratio"] = float(
+            np.polyfit(np.log(ratios), np.log(phonon), 1)[0])
+        result.meta["slope_vs_delta"] = float(
             np.polyfit(np.log(spec.values), np.log(phonon), 1)[0])
         product = phonon * ratios
-        meta["product_relative_spread"] = float(
+        result.meta["product_relative_spread"] = float(
             (product.max() - product.min()) / product.mean())
-    return ScanResult(rows, _provenance("schrodinger", spec.__dict__ | {}, rtol), meta)
+    return result
 
 
 # -- delay scan -------------------------------------------------------------
-
-def _delay_point(args):
-    dt, which, delta, nu, dims, grid_args, rtol = args
-    grid = TimeGrid(*grid_args)
-    if which == "G1":
-        delays = (dt, 0.0)
-    elif which == "G2":
-        delays = (0.0, dt)
-    elif which == "both":
-        delays = (dt, dt)
-    else:
-        raise InvalidParameterError(f"which_pulse must be G1, G2 or both, got {which!r}")
-    res = run_fig4_transfer(delta, nu, dims, grid, delays, rtol=rtol)
-    res_half = run_fig4_transfer(delta, nu, dims, grid, delays, rtol=rtol / 2)
-    return (dt, res.final_p2, abs(res.final_p2 - res_half.final_p2))
-
 
 def delay_scan_grid(nu: float, pad: float = DEFAULT_DELAY_PAD,
                     n_points: int = 2001) -> TimeGrid:
@@ -281,43 +302,29 @@ def run_delay_scan(delta_ts, which_pulse: str, delta: float = 40.0,
                    nu: float = 2.0, dims=(2, 2, 2),
                    pad: float = DEFAULT_DELAY_PAD, n_points: int = 2001,
                    rtol: float = RTOL_UNITARY, workers: int = 1) -> ScanResult:
-    """Shift only the named pulse by each dt and rerun the transfer.
+    """Shift the named pulse ("G1", "G2" or "both") by each dt and rerun
+    the transfer.
 
     The grid is widened by `pad` on both sides so a shifted pulse is never
     clipped; shifting both pulses together is then a pure time translation.
     """
+    if which_pulse not in DELAY_PULSES:
+        raise InvalidParameterError(
+            f"which_pulse must be G1, G2 or both, got {which_pulse!r}")
     for dt in delta_ts:
         if abs(dt) > 5.0 / nu:
             raise InvalidParameterError(
                 f"|delay| = {abs(dt)} exceeds the sane window 5/nu = {5.0 / nu}")
-    parameter = "delay-dt2" if which_pulse == "G2" else "delay-dt1"
+    parameter, delays = DELAY_PULSES[which_pulse]
     spec = ScanSpec(parameter, tuple(delta_ts), "final-p2",
                     {"delta": delta, "nu": nu, "which_pulse": which_pulse})
-    grid_args = (-pad, 10.0 / nu + pad, n_points)
-    out = _map_ordered(_delay_point,
-                       [(float(dt), which_pulse, delta, nu, tuple(dims),
-                         grid_args, rtol) for dt in spec.values], workers)
-    return ScanResult(tuple(out), _provenance("schrodinger", spec.__dict__ | {}, rtol),
-                      {"grid": grid_args})
+    grid = delay_scan_grid(nu, pad, n_points)
+    return _scan(spec, [{"delta": delta, "nu": nu, "dims": tuple(dims), "grid": grid,
+                         "delays": delays(dt)} for dt in spec.values],
+                 "schrodinger", rtol, workers)
 
 
 # -- decay scan -------------------------------------------------------------
-
-def _decay_point(args):
-    kappa, protocol, nu, delta, dims, gamma_m, n_th, n_points, rtol = args
-    value = _decay_fidelity(kappa, protocol, nu, delta, dims, gamma_m, n_th,
-                            n_points, rtol)
-    value_half = _decay_fidelity(kappa, protocol, nu, delta, dims, gamma_m, n_th,
-                                 n_points, rtol / 2)
-    return (kappa, value, abs(value - value_half))
-
-
-def _decay_fidelity(kappa, protocol, nu, delta, dims, gamma_m, n_th,
-                    n_points, rtol):
-    _, value = decay_run(kappa, protocol, nu, delta, dims, gamma_m, n_th,
-                         n_points, rtol)
-    return value
-
 
 def decay_run(kappa, protocol, nu, delta=40.0, dims=(2, 6, 2), gamma_m=5e-4,
               n_th=100.0, n_points=801, rtol=RTOL_LINDBLAD):
@@ -359,7 +366,7 @@ def run_decay_scan(kappas=DEFAULT_KAPPA_GRID, protocol: str = "tqd",
     spec = ScanSpec("decay-kappa", tuple(kappas), "fidelity-F",
                     {"protocol": protocol, "nu": nu, "delta": delta,
                      "gamma_m": gamma_m, "n_th": n_th, "dims": tuple(dims)})
-    out = _map_ordered(_decay_point,
-                       [(float(k), protocol, nu, delta, tuple(dims), gamma_m,
-                         n_th, n_points, rtol) for k in spec.values], workers)
-    return ScanResult(tuple(out), _provenance("lindblad", spec.__dict__ | {}, rtol))
+    return _scan(spec, [{"kappa": k, "protocol": protocol, "nu": nu, "delta": delta,
+                         "dims": tuple(dims), "gamma_m": gamma_m, "n_th": n_th,
+                         "n_points": n_points} for k in spec.values],
+                 "lindblad", rtol, workers)

@@ -1,8 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from stacontrol import dynamics
 from stacontrol.cli import main
 from stacontrol.config import (
     parse_config,
@@ -12,6 +14,7 @@ from stacontrol.config import (
     serialize_config,
 )
 from stacontrol.errors import ConfigError
+from stacontrol.experiments import decay_run
 
 
 def write_config(tmp_path, text, name="config.yaml"):
@@ -108,6 +111,25 @@ class TestCliExitCodes:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_config_is_1(self, tmp_path, capsys):
+        code = main(["derive-pulse", "--config", str(tmp_path / "absent.yaml"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "error: cannot read config" in capsys.readouterr().err
+
+    def test_malformed_config_is_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, "schedule:\n  nu: [1, 2\n")
+        code = main(["derive-pulse", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: cannot parse config" in err and "at line" in err
+
+    def test_bad_range_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan-detuning", "--range", "1:2", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+
     def test_success_is_0(self, tmp_path):
         code = main(["derive-pulse", "--out", str(tmp_path / "out")])
         assert code == 0
@@ -183,3 +205,58 @@ class TestCliOutputs:
         assert rows[0] == "delta,max_phonon,convergence_delta,detuning_ratio"
         phonon = [float(r.split(",")[1]) for r in rows[1:]]
         assert phonon[1] < phonon[0]
+
+
+def read_table(path):
+    """CSV header and rows as strings, so comparisons are exact."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return header, rows
+
+
+class TestSaveTrajectories:
+    """Each saved trajectory is the run its CSV row was taken from."""
+
+    @pytest.mark.parametrize("pulse", ["G1", "both"])
+    def test_scan_delay(self, tmp_path, pulse):
+        out = tmp_path / "out"
+        assert main(["scan-delay", "--pulse", pulse, "--values", "-0.3", "0.25",
+                     "--save-trajectories", "--out", str(out)]) == 0
+        _, rows = read_table(out / "scan_delay.csv")
+        assert len(rows) == 2
+        for i, (_, final_p2, _) in enumerate(rows):
+            header, traj = read_table(out / f"trajectory_{i:03d}.csv")
+            assert header == ["t", "p1", "p_m", "p2"]
+            assert traj[-1][3] == final_p2
+
+    def test_scan_detuning_solves_each_row_twice(self, tmp_path, monkeypatch):
+        calls = []
+        solve_ivp = dynamics.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["rtol"])
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "solve_ivp", counting)
+        out = tmp_path / "out"
+        assert main(["scan-detuning", "--values", "30", "45", "--workers", "1",
+                     "--save-trajectories", "--out", str(out)]) == 0
+        assert len(calls) == 4      # rtol and rtol/2 per row, no reruns
+        _, rows = read_table(out / "scan_detuning.csv")
+        for i, (_, max_phonon, _, _) in enumerate(rows):
+            _, traj = read_table(out / f"trajectory_{i:03d}.csv")
+            p_m = [float(r[2]) for r in traj]
+            assert traj[int(np.argmax(p_m))][2] == max_phonon
+
+    @pytest.mark.filterwarnings("ignore::stacontrol.dynamics.TruncationWarning")
+    def test_scan_decay_both_protocols(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["scan-decay", "--protocol", "both", "--values", "0.01",
+                     "--save-trajectories", "--out", str(out)]) == 0
+        header, rows = read_table(out / "scan_decay.csv")
+        for protocol, nu in (("adiabatic", 0.5), ("tqd", 2.0)):
+            traj, fid = decay_run(0.01, protocol, nu)
+            assert rows[0][header.index(f"F_{protocol}")] == f"{fid:.17g}"
+            _, saved = read_table(out / f"trajectory_{protocol}_000.csv")
+            expected = np.column_stack([traj.times, traj.populations])
+            assert saved == [[f"{x:.17g}" for x in r] for r in expected]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stacontrol import experiments
 from stacontrol.dynamics import Trajectory
 from stacontrol.errors import InvalidParameterError
 from stacontrol.experiments import (
@@ -109,6 +110,20 @@ class TestDelayScan:
         b = run_delay_scan([0.0, 0.2], "G2", n_points=801, workers=2)
         np.testing.assert_array_equal(a.metric_values, b.metric_values)
         assert a.provenance["config_hash"] == b.provenance["config_hash"]
+
+    def test_both_is_labelled(self):
+        result = run_delay_scan([0.1], "both", n_points=101)
+        assert result.provenance["params"]["parameter"] == "delay-both"
+        assert len(result.trajectories) == 1
+        assert result.trajectories[0].populations[-1, 2] == result.metric_values[0]
+
+    def test_pulse_checked_before_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool started")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(InvalidParameterError, match="which_pulse"):
+            run_delay_scan([0.0, 0.1], "G3", workers=2)
 
     def test_window_validated(self):
         with pytest.raises(InvalidParameterError):
