@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stacontrol import dynamics
-from stacontrol.cli import main
+from stacontrol.cli import build_parser, main
 from stacontrol.config import (
     parse_config,
     resolve_config_data,
@@ -130,6 +130,14 @@ class TestCliExitCodes:
             main(["scan-detuning", "--range", "1:2", "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
 
+    def test_range_step_must_divide_span(self, tmp_path, capsys):
+        # 0:1:0.35 would otherwise end at 1.05, past its inclusive end
+        with pytest.raises(SystemExit) as exc:
+            main(["scan-detuning", "--range", "0:1:0.35",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "does not divide" in capsys.readouterr().err
+
     def test_success_is_0(self, tmp_path):
         code = main(["derive-pulse", "--out", str(tmp_path / "out")])
         assert code == 0
@@ -196,6 +204,20 @@ class TestCliOutputs:
         assert len(rows) == 4
         dts = [float(r.split(",")[0]) for r in rows[1:]]
         np.testing.assert_allclose(dts, [-0.2, 0.0, 0.2], atol=1e-12)
+
+    def test_default_delay_range_hits_its_grid_points(self):
+        values = build_parser().parse_args(["scan-delay"]).range
+        assert len(values) == 25
+        assert values[12] == 0.0 and values[0] == -0.6 and values[-1] == 0.6
+        assert values[1] == -0.55
+
+    def test_scan_delay_check_without_baseline_says_so(self, tmp_path, capsys):
+        code = main(["scan-delay", "--values", "0.1", "0.2",
+                     "--out", str(tmp_path / "out"), "--check"])
+        assert code == 0
+        notes = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("note:")]
+        assert len(notes) == 1 and "skipped" in notes[0]
 
     def test_scan_detuning_csv(self, tmp_path):
         out = tmp_path / "out"
