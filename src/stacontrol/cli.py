@@ -3,10 +3,13 @@
 Subcommands: derive-pulse, transfer, fig2-suite, scan-detuning, scan-delay,
 scan-decay.  Each writes its data as CSV (full-precision scientific notation,
 17 significant digits) plus a single manifest.json into the output directory.
-Flags override config-file values; the manifest records the merged result.
+Each subcommand names the config fields its run reads (see `config.resolve`);
+flags override file values, and the manifest's `resolved_config` holds the
+values the run used, defaults included.
 
 Exit codes: 0 success; 1 a --check threshold failed, or an error such as an
-unreadable or invalid --config; 2 usage error, including a malformed --range.
+unreadable --config or one that names a field the subcommand does not read;
+2 usage error, including a malformed --range or --workers below 1.
 """
 
 from __future__ import annotations
@@ -20,12 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    make_manifest,
-    read_config,
-    resolve_config_data,
-    write_manifest,
-)
+from .config import make_manifest, read_config, resolve, write_manifest
 from .core import TimeGrid, vitanov_theta_dot
 from .engine import synthesize_tqd_pulses, tqd_detuning_ratio, tqd_max_coupling
 from .errors import StaControlError
@@ -87,6 +85,13 @@ def _parse_range(text: str) -> list[float]:
     return [round(a + i * step, digits) for i in range(n + 1)]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _outdir(args) -> Path:
     out = args.out or os.environ.get(OUTDIR_ENV) or "out"
     path = Path(out)
@@ -94,25 +99,18 @@ def _outdir(args) -> Path:
     return path
 
 
-def _merge_config(args, overrides: dict) -> "ResolvedConfig":
-    """Config file (if any) overlaid with CLI flag values, then resolved."""
-    data, base_dir = {}, None
-    if args.config:
-        data, base_dir = read_config(args.config), Path(args.config).parent
-    for section, fields in overrides.items():
-        sec = dict(data.get(section) or {})
-        for key, value in fields.items():
-            if value is not None:
-                sec[key] = value
-        if sec:
-            data[section] = sec
-    return resolve_config_data(data, base_dir=base_dir)
+def _merge_config(args, fields: dict) -> dict:
+    """The values the run reads: `fields` maps section -> field -> flag value
+    (None when unset or flagless), overlaid on the --config file, if any, and
+    the defaults; see `config.resolve`."""
+    data = read_config(args.config) if args.config else {}
+    return resolve(data, fields, args.command)
 
 
-def _finish(outdir: Path, command: str, args, rc, extra: dict,
+def _finish(outdir: Path, command: str, args, cfg: dict, extra: dict,
             check_failures: list[str]) -> int:
     write_manifest(outdir, make_manifest(
-        command, getattr(args, "config", None), rc, extra))
+        command, getattr(args, "config", None), cfg, extra))
     if getattr(args, "check", False) and check_failures:
         for failure in check_failures:
             print(f"CHECK FAILED: {failure}", file=sys.stderr)
@@ -123,12 +121,12 @@ def _finish(outdir: Path, command: str, args, rc, extra: dict,
 # -- subcommands ------------------------------------------------------------
 
 def cmd_derive_pulse(args) -> int:
-    rc = _merge_config(args, {"schedule": {"nu": args.nu, "delta": args.delta}})
-    nu = rc.system.schedule.nu
-    delta = rc.system.schedule.delta
+    cfg = _merge_config(args, {
+        "schedule": {"nu": args.nu, "delta": args.delta},
+        "grid": {"t_start": None, "t_end": None, "n_points": args.points}})
+    nu, delta = cfg["schedule"]["nu"], cfg["schedule"]["delta"]
     schedule = synthesize_tqd_pulses(nu, delta)
-    grid = rc.grid or TimeGrid.vitanov_default(nu, args.points)
-    times = grid.times
+    times = TimeGrid(**cfg["grid"]).times
     g1, g2 = schedule.couplings(times)
     theta_dot = vitanov_theta_dot(times, nu)
     ratio = tqd_detuning_ratio(nu, delta)
@@ -138,18 +136,19 @@ def cmd_derive_pulse(args) -> int:
                                 np.full_like(times, ratio)]))
     max_g = tqd_max_coupling(nu, delta)
     print(f"derive-pulse: max G = {max_g:.6g} MHz, delta/maxG = {ratio:.6g}")
-    return _finish(outdir, "derive-pulse", args, rc,
+    return _finish(outdir, "derive-pulse", args, cfg,
                    {"max_G": max_g, "detuning_ratio": ratio}, [])
 
 
 def cmd_transfer(args) -> int:
-    rc = _merge_config(args, {"schedule": {"nu": args.nu, "delta": args.delta},
-                              "system": {"fock_dims": args.dims}})
-    nu = rc.system.schedule.nu
-    delta = rc.system.schedule.delta
-    dims = rc.system.fock_dims
-    res, _, _, conv = converged_run("final-p2", rc.solver["rtol_unitary"],
-                                    delta=delta, nu=nu, dims=dims, grid=rc.grid)
+    cfg = _merge_config(args, {
+        "schedule": {"nu": args.nu, "delta": args.delta},
+        "system": {"fock_dims": args.dims},
+        "grid": {"t_start": None, "t_end": None, "n_points": None},
+        "solver": {"rtol_unitary": None}})
+    res, _, _, conv = converged_run(
+        "final-p2", cfg["solver"]["rtol_unitary"], **cfg["schedule"],
+        dims=cfg["system"]["fock_dims"], grid=TimeGrid(**cfg["grid"]))
     outdir = _outdir(args)
     _write_trajectory(outdir / "trajectory.csv", res.trajectory)
     print(f"transfer: final p2 = {res.final_p2:.6f}, "
@@ -160,14 +159,13 @@ def cmd_transfer(args) -> int:
     extra = {"final_p2": res.final_p2, "max_phonon": res.max_phonon,
              "detuning_ratio": res.detuning_ratio, "convergence_delta": conv,
              "norm_drift": res.trajectory.meta["norm_drift"]}
-    return _finish(outdir, "transfer", args, rc, extra, failures)
+    return _finish(outdir, "transfer", args, cfg, extra, failures)
 
 
 def cmd_fig2_suite(args) -> int:
-    rc = _merge_config(args, {})
+    cfg = _merge_config(args, {"solver": {"rtol_unitary": None}})
     nus = args.nu or [0.5, 1.0, 2.0]
-    rtol = rc.solver["rtol_unitary"]
-    suite = run_fig2_suite(nus, rtol=rtol)
+    suite = run_fig2_suite(nus, rtol=cfg["solver"]["rtol_unitary"])
     outdir = _outdir(args)
     failures = []
     finals = {}
@@ -194,15 +192,16 @@ def cmd_fig2_suite(args) -> int:
     if 0.5 in finals and 2.0 in finals:
         if not finals[2.0]["adiabatic_final_p2"] < finals[0.5]["adiabatic_final_p2"]:
             failures.append("adiabatic final p2 at nu=2 is not below nu=0.5")
-    return _finish(outdir, "fig2-suite", args, rc, {"results": finals}, failures)
+    return _finish(outdir, "fig2-suite", args, cfg, {"results": finals}, failures)
 
 
 def cmd_scan_detuning(args) -> int:
-    rc = _merge_config(args, {"schedule": {"nu": args.nu}})
+    cfg = _merge_config(args, {"schedule": {"nu": args.nu},
+                               "solver": {"rtol_unitary": None}})
     deltas = args.values or args.range or [20.0, 28.0, 40.0, 57.0, 80.0, 113.0,
                                            160.0, 200.0]
-    result = run_detuning_scan(deltas, rc.system.schedule.nu,
-                               rtol=rc.solver["rtol_unitary"], workers=args.workers)
+    result = run_detuning_scan(deltas, cfg["schedule"]["nu"],
+                               rtol=cfg["solver"]["rtol_unitary"], workers=args.workers)
     outdir = _outdir(args)
     _write_csv(outdir / "scan_detuning.csv",
                ["delta", "max_phonon", "convergence_delta", "detuning_ratio"],
@@ -217,14 +216,14 @@ def cmd_scan_detuning(args) -> int:
     extra = {"rows": len(result.rows),
              "slope_vs_ratio": result.meta.get("slope_vs_ratio"),
              "slope_vs_delta": result.meta.get("slope_vs_delta")}
-    return _finish(outdir, "scan-detuning", args, rc, extra, failures)
+    return _finish(outdir, "scan-detuning", args, cfg, extra, failures)
 
 
 def cmd_scan_delay(args) -> int:
-    rc = _merge_config(args, {"schedule": {"nu": args.nu, "delta": args.delta}})
-    result = run_delay_scan(args.values or args.range, args.pulse,
-                            rc.system.schedule.delta, rc.system.schedule.nu,
-                            rtol=rc.solver["rtol_unitary"], workers=args.workers)
+    cfg = _merge_config(args, {"schedule": {"nu": args.nu, "delta": args.delta},
+                               "solver": {"rtol_unitary": None}})
+    result = run_delay_scan(args.values or args.range, args.pulse, **cfg["schedule"],
+                            rtol=cfg["solver"]["rtol_unitary"], workers=args.workers)
     outdir = _outdir(args)
     _write_csv(outdir / "scan_delay.csv",
                ["delta_t", "final_p2", "convergence_delta"], result.rows)
@@ -241,25 +240,21 @@ def cmd_scan_delay(args) -> int:
     elif args.check:
         print("note: no delta_t = 0 row to serve as baseline; "
               "the 0.05-drop check was skipped", file=sys.stderr)
-    return _finish(outdir, "scan-delay", args, rc, {"rows": len(result.rows)},
+    return _finish(outdir, "scan-delay", args, cfg, {"rows": len(result.rows)},
                    failures)
 
 
 def cmd_scan_decay(args) -> int:
-    rc = _merge_config(args, {
-        "dissipation": {"gamma_m": args.gamma_m, "n_th": args.n_th}})
+    cfg = _merge_config(args, {
+        "dissipation": {"gamma_m": args.gamma_m, "n_th": args.n_th},
+        "solver": {"rtol_lindblad": None}})
     kappas = args.values or list(DEFAULT_KAPPA_GRID)
-    diss = rc.system.dissipation
-    # scenario defaults when neither flag nor config pinned them
-    gamma_m = 5e-4 if "dissipation.gamma_m" in rc.defaulted else diss.gamma_m
-    n_th = 100.0 if "dissipation.n_th" in rc.defaulted else diss.n_th
     protocols = ["adiabatic", "tqd"] if args.protocol == "both" else [args.protocol]
-    rtol = rc.solver["rtol_lindblad"]
     results = {}
     for protocol in protocols:
         results[protocol] = run_decay_scan(
-            kappas, protocol, gamma_m=gamma_m, n_th=n_th,
-            rtol=rtol, workers=args.workers)
+            kappas, protocol, **cfg["dissipation"],
+            rtol=cfg["solver"]["rtol_lindblad"], workers=args.workers)
     outdir = _outdir(args)
     header = ["kappa"] + [f"F_{p}" for p in protocols] \
         + [f"convergence_delta_{p}" for p in protocols]
@@ -281,8 +276,11 @@ def cmd_scan_decay(args) -> int:
         for i, kappa in enumerate(kappas):
             if kappa > 0 and not results["tqd"].rows[i][1] > results["adiabatic"].rows[i][1]:
                 failures.append(f"F(tqd) <= F(adiabatic) at kappa={kappa}")
-    extra = {"rows": len(kappas), "protocols": protocols}
-    return _finish(outdir, "scan-decay", args, rc, extra, failures)
+    # the per-protocol settings that are not config fields (nu, delta, dims)
+    extra = {"rows": len(kappas),
+             "protocols": {p: results[p].provenance["params"]["base"]
+                           for p in protocols}}
+    return _finish(outdir, "scan-decay", args, cfg, extra, failures)
 
 
 # -- parser -----------------------------------------------------------------
@@ -292,8 +290,8 @@ def _add_common(sub):
     sub.add_argument("--out", help=f"output directory (or ${OUTDIR_ENV}; default ./out)")
     sub.add_argument("--check", action="store_true",
                      help="enforce embedded acceptance thresholds (exit 1 on failure)")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="process-pool size for scan points")
+    sub.add_argument("--workers", type=_positive_int, default=1,
+                     help="process-pool size for scan points (at least 1)")
     sub.add_argument("--save-trajectories", action="store_true",
                      help="also write the trajectory behind each row as CSV")
 
@@ -307,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("derive-pulse", help="synthesize a matched pulse pair")
     p.add_argument("--nu", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--points", type=int, default=2001)
+    p.add_argument("--points", type=int,
+                   help="grid points (grid.n_points; default 2001)")
     _add_common(p)
     p.set_defaults(func=cmd_derive_pulse)
 

@@ -260,12 +260,11 @@ class Dissipation:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Three-mode system: labels, coupling schedule, dissipation, truncation."""
+    """Three-mode system: coupling schedule, dissipation, truncation."""
 
     schedule: CouplingSchedule
     dissipation: Dissipation = Dissipation()
     fock_dims: tuple[int, int, int] = (2, 2, 2)
-    labels: tuple[str, str, str] = ("a1", "b_m", "a2")
 
     def __post_init__(self):
         if len(self.fock_dims) != 3 or any(d < 2 for d in self.fock_dims):

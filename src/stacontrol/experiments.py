@@ -118,7 +118,9 @@ def _provenance(engine: str, params: dict, rtol: float) -> dict:
 
 
 def _map_ordered(fn, items, workers: int):
-    if workers and workers > 1:
+    """`fn` over `items` in order, on a pool of at most one process per item."""
+    workers = min(workers, len(items))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

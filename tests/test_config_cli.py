@@ -6,13 +6,7 @@ import pytest
 
 from stacontrol import dynamics
 from stacontrol.cli import build_parser, main
-from stacontrol.config import (
-    parse_config,
-    resolve_config_data,
-    resolved_equal,
-    resolved_to_dict,
-    serialize_config,
-)
+from stacontrol.config import FIELDS, read_config, resolve
 from stacontrol.errors import ConfigError
 from stacontrol.experiments import decay_run
 
@@ -23,74 +17,60 @@ def write_config(tmp_path, text, name="config.yaml"):
     return path
 
 
+def csv_bytes(outdir):
+    """Every CSV an output directory holds, by name."""
+    return {p.name: p.read_bytes() for p in sorted(outdir.glob("*.csv"))}
+
+
 class TestConfigResolution:
-    def test_empty_config_gets_all_defaults(self, tmp_path):
-        rc = parse_config(write_config(tmp_path, ""))
-        sched = rc.system.schedule
-        assert sched.kind == "vitanov"
-        assert sched.g0 == 1.0 and sched.nu == 2.0
-        assert rc.system.fock_dims == (2, 2, 2)
-        assert rc.grid is None and rc.scan is None
-        assert "schedule.g0" in rc.defaulted
-        assert "dissipation.kappa1" in rc.defaulted
-        assert "grid" in rc.defaulted
+    FIELDS = {"schedule": {"nu": None, "delta": 35.0},
+              "grid": {"t_start": None, "t_end": None, "n_points": None}}
 
-    def test_delta_implies_tqd_kind(self):
-        rc = resolve_config_data({"schedule": {"nu": 2.0, "delta": 40.0}})
-        assert rc.system.schedule.kind == "tqd"
-        assert "schedule.kind" in rc.defaulted
-
-    def test_explicit_fields_not_marked_defaulted(self):
-        rc = resolve_config_data({"schedule": {"kind": "vitanov", "nu": 1.0}})
-        assert "schedule.nu" not in rc.defaulted
-        assert "schedule.kind" not in rc.defaulted
-
-    def test_negative_rate_names_field(self):
-        with pytest.raises(ConfigError, match="kappa1"):
-            resolve_config_data({"dissipation": {"kappa1": -0.1}})
+    def test_empty_config_gets_all_defaults(self):
+        cfg = resolve({}, self.FIELDS, "derive-pulse")
+        assert cfg == {"schedule": {"nu": 2.0, "delta": 35.0},
+                       "grid": {"t_start": 0.0, "t_end": 5.0, "n_points": 2001}}
 
     def test_unknown_field_rejected_with_path(self):
-        with pytest.raises(ConfigError, match="schedule"):
-            resolve_config_data({"schedule": {"speed": 3}})
-        with pytest.raises(ConfigError, match="config"):
-            resolve_config_data({"mystery": {}})
+        with pytest.raises(ConfigError, match="schedule.*speed"):
+            resolve({"schedule": {"speed": 3}}, self.FIELDS, "derive-pulse")
+        with pytest.raises(ConfigError, match="derive-pulse.*mystery"):
+            resolve({"mystery": {}}, self.FIELDS, "derive-pulse")
+
+    def test_grid_and_scan_sections(self):
+        cfg = resolve({"grid": {"t_start": -1.0, "n_points": 101}}, self.FIELDS,
+                      "derive-pulse")
+        assert cfg["grid"] == {"t_start": -1.0, "t_end": 5.0, "n_points": 101}
+        with pytest.raises(ConfigError, match="scan"):
+            resolve({"scan": {"parameter": "decay-kappa"}}, self.FIELDS,
+                    "derive-pulse")
+
+    def test_negative_rate_names_field(self, tmp_path, capsys):
+        code = main(["scan-decay", "--values", "0.01", "--gamma-m", "-0.1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "gamma_m" in capsys.readouterr().err
 
     def test_malformed_yaml_reports_line(self, tmp_path):
         path = write_config(tmp_path, "schedule:\n  nu: [1, 2\n")
         with pytest.raises(ConfigError, match="line"):
-            parse_config(path)
-
-    def test_grid_and_scan_sections(self):
-        rc = resolve_config_data({
-            "grid": {"t_start": 0.0, "t_end": 5.0, "n_points": 101},
-            "scan": {"parameter": "decay-kappa", "values": [0.0, 0.01],
-                     "metric": "fidelity-F"},
-        })
-        assert rc.grid.n_points == 101
-        assert rc.scan.parameter == "decay-kappa"
-
-    def test_samples_csv_relative_to_config(self, tmp_path):
-        (tmp_path / "sched.csv").write_text(
-            "t,g1,g2\n0,0,1\n1,0.5,0.5\n2,1,0\n")
-        path = write_config(
-            tmp_path, "schedule:\n  kind: tabulated\n  samples_csv: sched.csv\n")
-        rc = parse_config(path)
-        assert rc.system.schedule.kind == "tabulated"
-        g1, g2 = rc.system.schedule.couplings(1.0)
-        assert g1 == pytest.approx(0.5) and g2 == pytest.approx(0.5)
+            read_config(path)
 
     def test_round_trip_identity(self, tmp_path):
-        rc = resolve_config_data({
-            "schedule": {"nu": 1.5, "delta": 30.0},
-            "dissipation": {"kappa1": 0.02, "n_th": 10.0},
-            "system": {"fock_dims": [2, 6, 2]},
-            "grid": {"t_start": -1.0, "t_end": 8.0, "n_points": 501},
-        })
-        path = tmp_path / "resolved.yaml"
-        serialize_config(rc, path)
-        rc2 = parse_config(path)
-        assert resolved_equal(rc, rc2)
-        assert resolved_to_dict(rc) == resolved_to_dict(rc2)
+        """The manifest's resolved_config, fed back as --config, is the run."""
+        path = write_config(tmp_path, "grid:\n  n_points: 101\n")
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["transfer", "--config", str(path), "--nu", "1.5",
+                     "--out", str(first)]) == 0
+        resolved = json.loads((first / "manifest.json").read_text())["resolved_config"]
+        assert resolved == {
+            "schedule": {"nu": 1.5, "delta": 40.0},
+            "system": {"fock_dims": [2, 2, 2]},
+            "grid": {"t_start": 0.0, "t_end": 10.0 / 1.5, "n_points": 101},
+            "solver": {"rtol_unitary": 1e-9}}
+        path = write_config(tmp_path, json.dumps(resolved), "resolved.yaml")
+        assert main(["transfer", "--config", str(path), "--out", str(second)]) == 0
+        assert csv_bytes(second) == csv_bytes(first)
 
 
 class TestCliExitCodes:
@@ -161,8 +141,10 @@ class TestCliOutputs:
         assert len(manifests) == 1
         manifest = json.loads(manifests[0].read_text())
         assert manifest["command"] == "derive-pulse"
-        assert "schedule.g0" in manifest["defaulted_fields"]
-        assert manifest["tolerances"]["rtol_unitary"] == 1e-9
+        assert manifest["resolved_config"] == {
+            "schedule": {"nu": 2.0, "delta": 40.0},
+            "grid": {"t_start": 0.0, "t_end": 5.0, "n_points": 2001}}
+        assert "tolerances" not in manifest
 
     def test_reruns_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -185,6 +167,7 @@ class TestCliOutputs:
         sched = manifest["resolved_config"]["schedule"]
         assert sched["delta"] == 40.0   # flag wins
         assert sched["nu"] == 0.5       # config survives
+        assert manifest["resolved_config"]["grid"]["t_end"] == 20.0  # 10/nu
 
     def test_transfer_trajectory(self, tmp_path):
         out = tmp_path / "out"
@@ -282,3 +265,117 @@ class TestSaveTrajectories:
             _, saved = read_table(out / f"trajectory_{protocol}_000.csv")
             expected = np.column_stack([traj.times, traj.populations])
             assert saved == [[f"{x:.17g}" for x in r] for r in expected]
+
+
+# the 25 fields of the former all-in-one schema, each with a value off its default
+OLD_FIELDS = {
+    "schedule.kind": "tqd", "schedule.g0": 2.0, "schedule.nu": 1.5,
+    "schedule.delta": 30.0, "schedule.delays": [0.3, 0.0],
+    "schedule.values": [1.0, 1.0], "schedule.samples": [[0.0, 0.0, 1.0], [5.0, 1.0, 0.0]],
+    "schedule.samples_csv": "pulses.csv",
+    "dissipation.kappa1": 0.5, "dissipation.kappa2": 0.5,
+    "dissipation.gamma_m": 1e-3, "dissipation.n_th": 50.0,
+    "system.fock_dims": [2, 3, 2], "system.labels": ["a", "b", "c"],
+    "grid.t_start": -1.0, "grid.t_end": 6.0, "grid.n_points": 501,
+    "scan.parameter": "decay-kappa", "scan.values": [0.1],
+    "scan.metric": "fidelity-F", "scan.base": {},
+    "solver.rtol_unitary": 1e-8, "solver.atol_unitary": 1e-3,
+    "solver.rtol_lindblad": 1e-6, "solver.atol_lindblad": 1e-3,
+}
+GRID = {"grid.t_start", "grid.t_end", "grid.n_points"}
+# subcommand -> (cheap arguments, the fields its run reads)
+SUBCOMMANDS = {
+    "derive-pulse": ([], {"schedule.nu", "schedule.delta"} | GRID),
+    "transfer": ([], {"schedule.nu", "schedule.delta", "system.fock_dims",
+                      "solver.rtol_unitary"} | GRID),
+    "fig2-suite": (["--nu", "2"], {"solver.rtol_unitary"}),
+    "scan-detuning": (["--values", "40"], {"schedule.nu", "solver.rtol_unitary"}),
+    "scan-delay": (["--values", "0.1"], {"schedule.nu", "schedule.delta",
+                                         "solver.rtol_unitary"}),
+    "scan-decay": (["--values", "0.01", "--protocol", "tqd"],
+                   {"dissipation.gamma_m", "dissipation.n_th", "solver.rtol_lindblad"}),
+}
+
+
+def test_ten_settable_fields():
+    accepted = set().union(*(fields for _, fields in SUBCOMMANDS.values()))
+    assert accepted == {f"{s}.{k}" for s, fields in FIELDS.items() for k in fields}
+    assert len(accepted) == 10 and accepted < set(OLD_FIELDS)
+
+
+@pytest.mark.filterwarnings("ignore::stacontrol.dynamics.TruncationWarning")
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_field_reaches_the_run_or_exits_1(tmp_path, capsys, command):
+    """A config holding one field changes the CSVs if the run reads that
+    field, and otherwise exits 1 before running; the manifest's
+    resolved_config of a run without a config reproduces that run."""
+    argv, reads = SUBCOMMANDS[command]
+
+    def run(name, config=None):
+        out = tmp_path / name
+        extra = [] if config is None else ["--config", str(config)]
+        return main([command, *argv, *extra, "--out", str(out)]), out
+
+    code, base = run("base")
+    assert code == 0
+    resolved = json.loads((base / "manifest.json").read_text())["resolved_config"]
+    assert {f"{s}.{k}" for s, fields in resolved.items() for k in fields} == reads
+    code, again = run("again", write_config(tmp_path, json.dumps(resolved), "resolved.yaml"))
+    assert code == 0 and csv_bytes(again) == csv_bytes(base)
+    capsys.readouterr()
+    for i, (field, value) in enumerate(OLD_FIELDS.items()):
+        section, key = field.split(".")
+        path = write_config(tmp_path, json.dumps({section: {key: value}}), f"{i}.yaml")
+        code, out = run(str(i), path)
+        if field in reads:
+            assert code == 0, field
+            assert csv_bytes(out) != csv_bytes(base), field
+        else:
+            assert code == 1, field
+            assert "error:" in capsys.readouterr().err, field
+            assert not out.exists(), field
+
+
+@pytest.mark.filterwarnings("ignore::stacontrol.dynamics.TruncationWarning")
+def test_scan_decay_manifest_records_the_run(tmp_path):
+    out = tmp_path / "out"
+    assert main(["scan-decay", "--values", "0.01", "--protocol", "tqd",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["resolved_config"] == {
+        "dissipation": {"gamma_m": 5e-4, "n_th": 100.0},
+        "solver": {"rtol_lindblad": 1e-7}}
+    tqd = manifest["protocols"]["tqd"]
+    assert tqd["nu"] == 2.0 and tqd["dims"] == [2, 6, 2]
+    assert list(manifest["protocols"]) == ["tqd"]
+
+
+@pytest.mark.parametrize("command, text, field", [
+    ("scan-decay", "dissipation:\n  gamma_m: abc\n", "dissipation.gamma_m"),
+    ("transfer", "solver:\n  rtol_unitary: [1]\n", "solver.rtol_unitary"),
+    ("transfer", "system:\n  fock_dims: 3\n", "system.fock_dims"),
+    ("scan-detuning", "schedule:\n  nu: 0\n", "schedule.nu"),
+])
+def test_malformed_value_is_1(tmp_path, capsys, command, text, field):
+    path = write_config(tmp_path, text)
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
+def test_points_flag_overrides_grid(tmp_path):
+    path = write_config(tmp_path, "grid:\n  n_points: 101\n")
+    out = tmp_path / "out"
+    assert main(["derive-pulse", "--config", str(path), "--points", "11",
+                 "--out", str(out)]) == 0
+    assert len((out / "pulse.csv").read_text().splitlines()) == 12
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["resolved_config"]["grid"]["n_points"] == 11
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_1_is_usage_error(workers):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["scan-decay", "--workers", workers])
+    assert exc.value.code == 2

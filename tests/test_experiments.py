@@ -130,6 +130,44 @@ class TestDelayScan:
             run_delay_scan([3.0], "G1", nu=2.0)
 
 
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records the pool size it was asked
+    for and maps in-process, so no process is started."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def __call__(self, max_workers):
+        self.sizes.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestPoolSize:
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor(sizes))
+        return sizes
+
+    def test_at_most_one_process_per_item(self, sizes):
+        assert experiments._map_ordered(abs, [-1, -2, -3], 8) == [1, 2, 3]
+        assert sizes == [3]
+
+    def test_single_row_scan_runs_in_process(self, sizes):
+        result = run_delay_scan([0.1], "G1", n_points=101, workers=8)
+        assert len(result.rows) == 1
+        assert sizes == []
+
+
 class TestDecayScan:
     def test_default_kappa_grid(self):
         assert DEFAULT_KAPPA_GRID[0] == 0.0
