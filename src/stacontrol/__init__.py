@@ -42,7 +42,6 @@ from .dynamics import (  # noqa: F401
 )
 from .experiments import (  # noqa: F401
     ScanResult,
-    ScanSpec,
     completion_time,
     run_decay_scan,
     run_delay_scan,

@@ -7,9 +7,16 @@ Each subcommand names the config fields its run reads (see `config.resolve`);
 flags override file values, and the manifest's `resolved_config` holds the
 values the run used, defaults included.
 
+Each scan subcommand also writes its scan's settings record
+(`ScanResult.settings`) under the manifest's `settings` key, one per protocol
+for scan-decay.  A flag exists only where a run reads it: --workers and
+--save-trajectories on the scans, --check where a threshold exists.
+
 Exit codes: 0 success; 1 a --check threshold failed, or an error such as an
-unreadable --config or one that names a field the subcommand does not read;
-2 usage error, including a malformed --range or --workers below 1.
+unreadable --config, one that names a field the subcommand does not read, or
+a non-finite scan value; 2 usage error, including a flag the subcommand does
+not take, a malformed --range, --values together with --range, or --workers
+below 1.
 """
 
 from __future__ import annotations
@@ -105,6 +112,11 @@ def _merge_config(args, fields: dict) -> dict:
     the defaults; see `config.resolve`."""
     data = read_config(args.config) if args.config else {}
     return resolve(data, fields, args.command)
+
+
+def _in_axis_order(result) -> np.ndarray:
+    """A scan's metric values in increasing order of the swept value."""
+    return result.metric_values[np.argsort(result.parameter_values, kind="stable")]
 
 
 def _finish(outdir: Path, command: str, args, cfg: dict, extra: dict,
@@ -210,12 +222,12 @@ def cmd_scan_detuning(args) -> int:
     if args.save_trajectories:
         _write_trajectories(outdir, result)
     failures = []
-    phonon = result.metric_values
-    if len(phonon) > 1 and not np.all(np.diff(phonon) < 0):
+    if not np.all(np.diff(_in_axis_order(result)) < 0):
         failures.append("max phonon is not monotone decreasing in delta")
     extra = {"rows": len(result.rows),
              "slope_vs_ratio": result.meta.get("slope_vs_ratio"),
-             "slope_vs_delta": result.meta.get("slope_vs_delta")}
+             "slope_vs_delta": result.meta.get("slope_vs_delta"),
+             "settings": result.settings}
     return _finish(outdir, "scan-detuning", args, cfg, extra, failures)
 
 
@@ -240,8 +252,8 @@ def cmd_scan_delay(args) -> int:
     elif args.check:
         print("note: no delta_t = 0 row to serve as baseline; "
               "the 0.05-drop check was skipped", file=sys.stderr)
-    return _finish(outdir, "scan-delay", args, cfg, {"rows": len(result.rows)},
-                   failures)
+    return _finish(outdir, "scan-delay", args, cfg,
+                   {"rows": len(result.rows), "settings": result.settings}, failures)
 
 
 def cmd_scan_decay(args) -> int:
@@ -269,31 +281,42 @@ def cmd_scan_decay(args) -> int:
             _write_trajectories(outdir, results[protocol], f"trajectory_{protocol}")
     failures = []
     for protocol in protocols:
-        fvals = results[protocol].metric_values
-        if len(fvals) > 1 and np.any(np.diff(fvals) > 0):
+        if np.any(np.diff(_in_axis_order(results[protocol])) > 0):
             failures.append(f"F({protocol}) is not non-increasing in kappa")
     if set(protocols) == {"adiabatic", "tqd"}:
         for i, kappa in enumerate(kappas):
             if kappa > 0 and not results["tqd"].rows[i][1] > results["adiabatic"].rows[i][1]:
                 failures.append(f"F(tqd) <= F(adiabatic) at kappa={kappa}")
-    # the per-protocol settings that are not config fields (nu, delta, dims)
     extra = {"rows": len(kappas),
-             "protocols": {p: results[p].provenance["params"]["base"]
-                           for p in protocols}}
+             "settings": {p: results[p].settings for p in protocols}}
     return _finish(outdir, "scan-decay", args, cfg, extra, failures)
 
 
 # -- parser -----------------------------------------------------------------
 
-def _add_common(sub):
+def _add_common(sub, check: bool = True):
     sub.add_argument("--config", help="YAML config file (flags override it)")
     sub.add_argument("--out", help=f"output directory (or ${OUTDIR_ENV}; default ./out)")
-    sub.add_argument("--check", action="store_true",
-                     help="enforce embedded acceptance thresholds (exit 1 on failure)")
+    if check:
+        sub.add_argument("--check", action="store_true",
+                         help="enforce embedded acceptance thresholds (exit 1 on failure)")
+
+
+def _add_scan(sub):
+    _add_common(sub)
     sub.add_argument("--workers", type=_positive_int, default=1,
                      help="process-pool size for scan points (at least 1)")
     sub.add_argument("--save-trajectories", action="store_true",
                      help="also write the trajectory behind each row as CSV")
+
+
+def _add_axis(sub, default_range=None):
+    """--values or --range, not both; `default_range` applies when neither is given."""
+    axis = sub.add_mutually_exclusive_group()
+    axis.add_argument("--values", type=float, nargs="+")
+    axis.add_argument("--range", type=_parse_range, default=default_range,
+                      help=f"a:b:step (default {default_range})" if default_range
+                      else "a:b:step")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float)
     p.add_argument("--points", type=int,
                    help="grid points (grid.n_points; default 2001)")
-    _add_common(p)
+    _add_common(p, check=False)
     p.set_defaults(func=cmd_derive_pulse)
 
     p = subs.add_parser("transfer", help="optomechanical Fock-space transfer")
@@ -326,19 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("scan-detuning", help="max phonon number vs detuning")
     p.add_argument("--nu", type=float)
-    p.add_argument("--values", type=float, nargs="+")
-    p.add_argument("--range", type=_parse_range, help="a:b:step")
-    _add_common(p)
+    _add_axis(p)
+    _add_scan(p)
     p.set_defaults(func=cmd_scan_detuning)
 
     p = subs.add_parser("scan-delay", help="robustness vs pulse timing deviation")
     p.add_argument("--nu", type=float)
     p.add_argument("--delta", type=float)
     p.add_argument("--pulse", choices=["G1", "G2", "both"], default="G1")
-    p.add_argument("--values", type=float, nargs="+")
-    p.add_argument("--range", type=_parse_range, default="-0.6:0.6:0.05",
-                   help="a:b:step (default -0.6:0.6:0.05)")
-    _add_common(p)
+    _add_axis(p, "-0.6:0.6:0.05")
+    _add_scan(p)
     p.set_defaults(func=cmd_scan_delay)
 
     p = subs.add_parser("scan-decay", help="open-system fidelity vs cavity decay")
@@ -347,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="both")
     p.add_argument("--gamma-m", type=float)
     p.add_argument("--n-th", type=float)
-    _add_common(p)
+    _add_scan(p)
     p.set_defaults(func=cmd_scan_decay)
 
     return parser

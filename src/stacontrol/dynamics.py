@@ -48,14 +48,13 @@ class Trajectory:
 
     `populations[k, i]` is mode i's population (|v_i|^2 or <n_i>) at
     `times[k]`.  `final_state` is the amplitude 3-vector, Fock state vector
-    or density matrix at t_end; `states` optionally holds the whole history.
-    `meta` carries conservation drifts and solver information.
+    or density matrix at t_end.  `meta` carries conservation drifts and
+    solver information.
     """
 
     times: np.ndarray
     populations: np.ndarray
     final_state: np.ndarray
-    states: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -77,9 +76,8 @@ def _matrix_entries(m) -> np.ndarray:
 
 # -- (1) Heisenberg-amplitude picture ---------------------------------------
 
-def propagate_amplitudes(matrix_fn, v0, grid: TimeGrid,
-                         rtol: float = RTOL_UNITARY, atol: float = ATOL_UNITARY,
-                         store_states: bool = False) -> Trajectory:
+def propagate_amplitudes(matrix_fn, v0, grid: TimeGrid, rtol: float = RTOL_UNITARY,
+                         atol: float = ATOL_UNITARY) -> Trajectory:
     """Integrate i dv/dt = M(t) v and report populations |v_i(t)|^2.
 
     `matrix_fn(t)` may return a ModeMatrix or a plain 3x3 array.
@@ -99,17 +97,15 @@ def propagate_amplitudes(matrix_fn, v0, grid: TimeGrid,
         "norm_drift": float(np.max(np.abs(norms - norms[0]))),
         "rtol": rtol, "atol": atol, "picture": "amplitude",
     }
-    return Trajectory(sol.t, populations, states[-1],
-                      states if store_states else None, meta)
+    return Trajectory(sol.t, populations, states[-1], meta)
 
 
 def propagate_tqd_amplitudes(schedule: CouplingSchedule, v0, grid: TimeGrid,
-                             rtol: float = RTOL_UNITARY, atol: float = ATOL_UNITARY,
-                             store_states: bool = False) -> Trajectory:
+                             rtol: float = RTOL_UNITARY,
+                             atol: float = ATOL_UNITARY) -> Trajectory:
     """Propagate under the transitionless matrix M1(t) alone."""
     return propagate_amplitudes(lambda t: counterdiabatic_matrix(schedule, t),
-                                v0, grid, rtol=rtol, atol=atol,
-                                store_states=store_states)
+                                v0, grid, rtol=rtol, atol=atol)
 
 
 # -- Fock-space operator helpers --------------------------------------------
@@ -210,9 +206,8 @@ def build_h3(schedule: CouplingSchedule, delta1: float, delta2: float, dims):
 
 # -- (2) Schrodinger picture ------------------------------------------------
 
-def evolve_schrodinger(h_fn, psi0, dims, grid: TimeGrid,
-                       rtol: float = RTOL_UNITARY, atol: float = ATOL_UNITARY,
-                       store_states: bool = False) -> Trajectory:
+def evolve_schrodinger(h_fn, psi0, dims, grid: TimeGrid, rtol: float = RTOL_UNITARY,
+                       atol: float = ATOL_UNITARY) -> Trajectory:
     """Unitary evolution i dpsi/dt = H(t) psi; populations are <n_i>(t)."""
     psi0 = np.asarray(psi0, dtype=complex)
     num_ops = number_operators(dims)
@@ -230,8 +225,7 @@ def evolve_schrodinger(h_fn, psi0, dims, grid: TimeGrid,
         "norm_drift": float(np.max(np.abs(norms - norms[0]))),
         "rtol": rtol, "atol": atol, "picture": "schrodinger", "dims": tuple(dims),
     }
-    return Trajectory(sol.t, populations, states[-1].copy(),
-                      states if store_states else None, meta)
+    return Trajectory(sol.t, populations, states[-1].copy(), meta)
 
 
 # -- (3) Lindblad master equation -------------------------------------------
@@ -264,8 +258,8 @@ def _dissipator(config: SystemConfig) -> sparse.csr_matrix:
 
 
 def evolve_lindblad(h_fn, config: SystemConfig, rho0, grid: TimeGrid,
-                    rtol: float = RTOL_LINDBLAD, atol: float = ATOL_LINDBLAD,
-                    store_states: bool = False) -> Trajectory:
+                    rtol: float = RTOL_LINDBLAD,
+                    atol: float = ATOL_LINDBLAD) -> Trajectory:
     """Integrate drho/dt = i[rho, H(t)] + kappa1 L[a1] + kappa2 L[a2]
     + gamma_m D[b_m], with L the decay dissipator and D its thermal version
     carrying (n_th + 1) cooling and n_th heating terms.
@@ -274,9 +268,8 @@ def evolve_lindblad(h_fn, config: SystemConfig, rho0, grid: TimeGrid,
     dissipator is assembled once (`_dissipator`), so each RHS call
     is the commutator with `h_fn(t)` (two dense products) plus one sparse
     matrix-vector product.  Every probe (number operators, trace, mechanical
-    edge projector) is diagonal in the Fock basis and is read from diag(rho);
-    the Hermiticity drift is checked one time step at a time, and the
-    (T, dim, dim) history is returned only when `store_states` is set.
+    edge projector) is diagonal in the Fock basis and is read from diag(rho),
+    and the Hermiticity drift is checked one time step at a time.
     """
     dims = config.fock_dims
     dim = int(np.prod(dims))
@@ -319,5 +312,4 @@ def evolve_lindblad(h_fn, config: SystemConfig, rho0, grid: TimeGrid,
         "mech_edge_population": edge_pop,
         "rtol": rtol, "atol": atol, "picture": "lindblad", "dims": tuple(dims),
     }
-    return Trajectory(sol.t, populations, rho_final,
-                      rhos if store_states else None, meta)
+    return Trajectory(sol.t, populations, rho_final, meta)

@@ -10,16 +10,16 @@
                   and transitionless protocols.
 
 Runs are deterministic: fixed integrator, fixed tolerances, no randomness.
-Every scan row comes from `converged_run`: the point is run at the relative
-tolerance and at half of it, and the row carries the metric change as its
-convergence delta plus the full-tolerance trajectory.  Scan points may be
-distributed over a process pool; result assembly is order-preserving.
+Each scan is one settings record: the run keywords its rows share, the swept
+axis, the metric and the rtol.  Every row runs from that record plus its axis
+value through `converged_run`: the point is run at the relative tolerance and
+at half of it, and the row carries the metric change as its convergence delta
+plus the full-tolerance trajectory.  Scan points may be distributed over a
+process pool; result assembly is order-preserving.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -42,55 +42,25 @@ from .dynamics import (
 from .engine import build_adiabatic_matrix, synthesize_tqd_pulses, tqd_detuning_ratio
 from .errors import InvalidParameterError
 
-SCAN_PARAMETERS = ("delay-dt1", "delay-dt2", "delay-both", "detuning-delta",
-                   "decay-kappa", "shape-rate-nu")
-SCAN_METRICS = ("final-p2", "fidelity-F", "max-phonon")
-
 DEFAULT_KAPPA_GRID = (0.0, 0.005, 0.01, 0.02, 0.05, 0.1)
 DEFAULT_DELAY_PAD = 12.0  # us; wide enough that a shifted pulse is never clipped
 FIG2_PAD_WIDTHS = 5.0     # extra sigmoid widths (units of 1/nu) on each side
-# which_pulse -> (scan parameter, pulse delays for a shift dt)
+# which_pulse -> pulse delays for a shift dt
 DELAY_PULSES = {
-    "G1": ("delay-dt1", lambda dt: (dt, 0.0)),
-    "G2": ("delay-dt2", lambda dt: (0.0, dt)),
-    "both": ("delay-both", lambda dt: (dt, dt)),
+    "G1": lambda dt: (dt, 0.0),
+    "G2": lambda dt: (0.0, dt),
+    "both": lambda dt: (dt, dt),
 }
-
-
-@dataclass(frozen=True)
-class ScanSpec:
-    """A one-parameter sweep: which knob, which values, which metric."""
-
-    parameter: str
-    values: tuple
-    metric: str
-    base: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.parameter not in SCAN_PARAMETERS:
-            raise InvalidParameterError(
-                f"unknown scan parameter {self.parameter!r}; expected {SCAN_PARAMETERS}"
-            )
-        if self.metric not in SCAN_METRICS:
-            raise InvalidParameterError(
-                f"unknown scan metric {self.metric!r}; expected {SCAN_METRICS}"
-            )
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
-            raise InvalidParameterError("scan values must be non-empty")
-        if not all(np.isfinite(vals)):
-            raise InvalidParameterError("scan values must be finite")
-        object.__setattr__(self, "values", vals)
 
 
 @dataclass(frozen=True, eq=False)
 class ScanResult:
-    """Rows of (parameter value, metric value, convergence delta) plus
-    provenance (config hash, engine, tolerances), scan-specific extras and
+    """Rows of (axis value, metric value, convergence delta), the settings
+    record every row was run from (see `_scan`), scan-specific extras and
     the trajectory each row's metric was taken from, in row order."""
 
     rows: tuple
-    provenance: dict
+    settings: dict
     meta: dict = field(default_factory=dict)
     trajectories: tuple = ()
 
@@ -105,16 +75,6 @@ class ScanResult:
     @property
     def convergence_deltas(self) -> np.ndarray:
         return np.array([r[2] for r in self.rows])
-
-
-def _provenance(engine: str, params: dict, rtol: float) -> dict:
-    canonical = json.dumps(params, sort_keys=True, default=str)
-    return {
-        "engine": engine,
-        "rtol": rtol,
-        "config_hash": hashlib.sha256(canonical.encode()).hexdigest()[:16],
-        "params": params,
-    }
 
 
 def _map_ordered(fn, items, workers: int):
@@ -237,28 +197,43 @@ def _run_metric(metric: str, rtol: float, run_args: dict):
 
 def converged_run(metric: str, rtol: float, **run_args):
     """One point at `rtol` and at half of it: the convergence policy of every
-    scan row.  `metric` is a SCAN_METRICS name; "fidelity-F" runs `decay_run`,
-    the others `run_fig4_transfer`, with `run_args`.  Returns the `rtol` run's
-    own result (a TransferResult, or decay_run's (trajectory, F) pair), its
-    trajectory, its metric and the metric's change (the convergence delta)."""
+    scan row.  `metric` is "fidelity-F", which runs `decay_run`, or
+    "final-p2" or "max-phonon", which run `run_fig4_transfer`, with
+    `run_args`.  Returns the `rtol` run's own result (a TransferResult, or
+    decay_run's (trajectory, F) pair), its trajectory, its metric and the
+    metric's change (the convergence delta)."""
     res, traj, value = _run_metric(metric, rtol, run_args)
     _, _, value_half = _run_metric(metric, rtol / 2, run_args)
     return res, traj, value, abs(value - value_half)
 
 
 def _scan_row(item):
-    value, metric, run_args, rtol = item
-    _, traj, got, delta = converged_run(metric, rtol, **run_args)
+    settings, value = item
+    run_args = {k: v for k, v in settings.items() if k not in ("metric", "axis", "pulse")}
+    if "grid" in run_args:
+        run_args["grid"] = TimeGrid(**run_args["grid"])
+    if settings["axis"] == "delta_t":
+        run_args["delays"] = DELAY_PULSES[settings["pulse"]](value)
+    else:
+        run_args[settings["axis"]] = value
+    _, traj, got, delta = converged_run(settings["metric"], **run_args)
     return (value, got, delta), traj
 
 
-def _scan(spec: ScanSpec, run_args, engine: str, rtol: float,
-          workers: int) -> ScanResult:
-    """One row per `spec` value, run with the matching entry of `run_args`."""
-    out = _map_ordered(_scan_row, [(v, spec.metric, args, rtol)
-                                   for v, args in zip(spec.values, run_args)], workers)
-    return ScanResult(tuple(row for row, _ in out),
-                      _provenance(engine, asdict(spec), rtol),
+def _scan(values, settings: dict, workers: int) -> ScanResult:
+    """One row per value, each run from `settings` with its axis at that value.
+
+    `settings` names the `metric` and the swept `axis` ("delta_t" shifts the
+    named `pulse`; any other axis is a run keyword), and holds every other
+    keyword of the run, `rtol` included, with a grid as its field mapping.
+    """
+    values = tuple(float(v) for v in values)
+    if not values:
+        raise InvalidParameterError("scan values must be non-empty")
+    if not all(np.isfinite(values)):
+        raise InvalidParameterError(f"scan values must be finite, got {values}")
+    out = _map_ordered(_scan_row, [(settings, v) for v in values], workers)
+    return ScanResult(tuple(row for row, _ in out), settings,
                       trajectories=tuple(traj for _, traj in out))
 
 
@@ -274,19 +249,17 @@ def run_detuning_scan(deltas, nu: float = 2.0, dims=(2, 2, 2),
     max-phonon against the detuning ratio (and against delta), plus the
     relative spread of max-phonon * ratio.
     """
-    spec = ScanSpec("detuning-delta", tuple(deltas), "max-phonon",
-                    {"nu": nu, "dims": tuple(dims)})
-    grid = TimeGrid(0.0, 10.0 / nu, n_points)
-    result = _scan(spec, [{"delta": d, "nu": nu, "dims": tuple(dims), "grid": grid}
-                          for d in spec.values], "schrodinger", rtol, workers)
-    ratios = np.array([tqd_detuning_ratio(nu, d) for d in spec.values])
+    settings = {"metric": "max-phonon", "axis": "delta", "nu": nu, "dims": tuple(dims),
+                "grid": asdict(TimeGrid(0.0, 10.0 / nu, n_points)), "rtol": rtol}
+    result = _scan(deltas, settings, workers)
+    ratios = np.array([tqd_detuning_ratio(nu, row[0]) for row in result.rows])
     result.meta["detuning_ratios"] = ratios
     if len(result.rows) > 1:
         phonon = result.metric_values
         result.meta["slope_vs_ratio"] = float(
             np.polyfit(np.log(ratios), np.log(phonon), 1)[0])
         result.meta["slope_vs_delta"] = float(
-            np.polyfit(np.log(spec.values), np.log(phonon), 1)[0])
+            np.polyfit(np.log(result.parameter_values), np.log(phonon), 1)[0])
         product = phonon * ratios
         result.meta["product_relative_spread"] = float(
             (product.max() - product.min()) / product.mean())
@@ -317,13 +290,10 @@ def run_delay_scan(delta_ts, which_pulse: str, delta: float = 40.0,
         if abs(dt) > 5.0 / nu:
             raise InvalidParameterError(
                 f"|delay| = {abs(dt)} exceeds the sane window 5/nu = {5.0 / nu}")
-    parameter, delays = DELAY_PULSES[which_pulse]
-    spec = ScanSpec(parameter, tuple(delta_ts), "final-p2",
-                    {"delta": delta, "nu": nu, "which_pulse": which_pulse})
-    grid = delay_scan_grid(nu, pad, n_points)
-    return _scan(spec, [{"delta": delta, "nu": nu, "dims": tuple(dims), "grid": grid,
-                         "delays": delays(dt)} for dt in spec.values],
-                 "schrodinger", rtol, workers)
+    settings = {"metric": "final-p2", "axis": "delta_t", "pulse": which_pulse,
+                "delta": delta, "nu": nu, "dims": tuple(dims),
+                "grid": asdict(delay_scan_grid(nu, pad, n_points)), "rtol": rtol}
+    return _scan(delta_ts, settings, workers)
 
 
 # -- decay scan -------------------------------------------------------------
@@ -365,10 +335,7 @@ def run_decay_scan(kappas=DEFAULT_KAPPA_GRID, protocol: str = "tqd",
     """
     if nu is None:
         nu = 0.5 if protocol == "adiabatic" else 2.0
-    spec = ScanSpec("decay-kappa", tuple(kappas), "fidelity-F",
-                    {"protocol": protocol, "nu": nu, "delta": delta,
-                     "gamma_m": gamma_m, "n_th": n_th, "dims": tuple(dims)})
-    return _scan(spec, [{"kappa": k, "protocol": protocol, "nu": nu, "delta": delta,
-                         "dims": tuple(dims), "gamma_m": gamma_m, "n_th": n_th,
-                         "n_points": n_points} for k in spec.values],
-                 "lindblad", rtol, workers)
+    return _scan(kappas, {"metric": "fidelity-F", "axis": "kappa", "protocol": protocol,
+                          "nu": nu, "delta": delta, "dims": tuple(dims),
+                          "n_points": n_points, "gamma_m": gamma_m, "n_th": n_th,
+                          "rtol": rtol}, workers)

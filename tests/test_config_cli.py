@@ -345,9 +345,71 @@ def test_scan_decay_manifest_records_the_run(tmp_path):
     assert manifest["resolved_config"] == {
         "dissipation": {"gamma_m": 5e-4, "n_th": 100.0},
         "solver": {"rtol_lindblad": 1e-7}}
-    tqd = manifest["protocols"]["tqd"]
+    tqd = manifest["settings"]["tqd"]
     assert tqd["nu"] == 2.0 and tqd["dims"] == [2, 6, 2]
-    assert list(manifest["protocols"]) == ["tqd"]
+    assert tqd["protocol"] == "tqd" and tqd["axis"] == "kappa"
+    assert tqd["rtol"] == 1e-7 and tqd["n_points"] == 801
+    assert list(manifest["settings"]) == ["tqd"]
+
+
+@pytest.mark.parametrize("command, argv, grid, record", [
+    ("scan-delay", ["--values", "0.1", "--pulse", "G2"],
+     {"t_start": -12.0, "t_end": 17.0, "n_points": 2001},
+     {"axis": "delta_t", "pulse": "G2", "delta": 40.0}),
+    ("scan-detuning", ["--values", "40"],
+     {"t_start": 0.0, "t_end": 5.0, "n_points": 2001}, {"axis": "delta"}),
+])
+def test_scan_manifest_records_the_run(tmp_path, command, argv, grid, record):
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 0
+    settings = json.loads((out / "manifest.json").read_text())["settings"]
+    assert settings["grid"] == grid
+    assert settings["dims"] == [2, 2, 2] and settings["nu"] == 2.0
+    assert settings["rtol"] == 1e-9
+    assert settings.items() >= record.items()
+
+
+@pytest.mark.filterwarnings("ignore::stacontrol.dynamics.TruncationWarning")
+@pytest.mark.parametrize("command, values, argv", [
+    ("scan-detuning", ["80", "40"], []),
+    ("scan-decay", ["0.05", "0.01"], ["--protocol", "tqd"]),
+], ids=["scan-detuning", "scan-decay"])
+def test_check_does_not_depend_on_value_order(tmp_path, capsys, command, values, argv):
+    out = tmp_path / "out"
+    assert main([command, "--values", *values, *argv, "--check",
+                 "--out", str(out)]) == 0
+    assert "CHECK FAILED" not in capsys.readouterr().err
+    (table,) = out.glob("scan_*.csv")
+    _, rows = read_table(table)
+    assert [float(r[0]) for r in rows] == [float(v) for v in values]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("derive-pulse", ["--workers", "3"]),
+    ("derive-pulse", ["--save-trajectories"]),
+    ("derive-pulse", ["--check"]),
+    ("transfer", ["--workers", "3"]),
+    ("transfer", ["--save-trajectories"]),
+    ("fig2-suite", ["--workers", "3"]),
+    ("fig2-suite", ["--save-trajectories"]),
+])
+def test_flag_no_run_reads_is_usage_error(tmp_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flag, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["scan-delay", "scan-detuning"])
+@pytest.mark.parametrize("values_first", [True, False])
+def test_values_and_range_exclude_each_other(tmp_path, capsys, command, values_first):
+    axis = [["--values", "0.1"], ["--range", "0:0.2:0.1"]]
+    if not values_first:
+        axis.reverse()
+    with pytest.raises(SystemExit) as exc:
+        main([command, *axis[0], *axis[1], "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, text, field", [

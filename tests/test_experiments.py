@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from stacontrol import experiments
+from stacontrol.cli import main
 from stacontrol.dynamics import Trajectory
 from stacontrol.errors import InvalidParameterError
 from stacontrol.experiments import (
     DEFAULT_KAPPA_GRID,
-    ScanSpec,
     completion_time,
     decay_run,
     delay_scan_grid,
@@ -109,11 +109,11 @@ class TestDelayScan:
         a = run_delay_scan([0.0, 0.2], "G2", n_points=801)
         b = run_delay_scan([0.0, 0.2], "G2", n_points=801, workers=2)
         np.testing.assert_array_equal(a.metric_values, b.metric_values)
-        assert a.provenance["config_hash"] == b.provenance["config_hash"]
+        assert a.settings == b.settings
 
     def test_both_is_labelled(self):
         result = run_delay_scan([0.1], "both", n_points=101)
-        assert result.provenance["params"]["parameter"] == "delay-both"
+        assert result.settings["pulse"] == "both"
         assert len(result.trajectories) == 1
         assert result.trajectories[0].populations[-1, 2] == result.metric_values[0]
 
@@ -188,22 +188,31 @@ class TestDecayScan:
 
 
 class TestScanSpec:
-    def test_unknown_parameter(self):
-        with pytest.raises(InvalidParameterError):
-            ScanSpec("mystery", (1.0,), "final-p2")
+    """The values a scan sweeps are checked once, before any row runs."""
 
-    def test_unknown_metric(self):
-        with pytest.raises(InvalidParameterError):
-            ScanSpec("decay-kappa", (1.0,), "mystery")
+    SCANS = (lambda values: run_decay_scan(values, "tqd"),
+             lambda values: run_delay_scan(values, "G1"),
+             run_detuning_scan)
+
+    @pytest.fixture(autouse=True)
+    def no_runs(self, monkeypatch):
+        def no_row(*args, **kwargs):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(experiments, "converged_run", no_row)
 
     def test_empty_values(self):
-        with pytest.raises(InvalidParameterError):
-            ScanSpec("decay-kappa", (), "fidelity-F")
+        for scan in self.SCANS:
+            with pytest.raises(InvalidParameterError, match="non-empty"):
+                scan([])
 
-    def test_non_finite_values(self):
-        with pytest.raises(InvalidParameterError):
-            ScanSpec("decay-kappa", (0.0, np.inf), "fidelity-F")
-
-    def test_values_coerced_to_float(self):
-        spec = ScanSpec("decay-kappa", (0, 1), "fidelity-F")
-        assert spec.values == (0.0, 1.0)
+    def test_non_finite_values(self, tmp_path, capsys):
+        for scan, values in zip(self.SCANS, ([0.0, np.inf], [0.1, np.nan],
+                                             [40.0, -np.inf])):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                scan(values)
+        for command in ("scan-decay", "scan-delay", "scan-detuning"):
+            out = tmp_path / command
+            assert main([command, "--values", "0.1", "nan", "--out", str(out)]) == 1
+            assert "finite" in capsys.readouterr().err
+            assert not out.exists()

@@ -122,18 +122,10 @@ class TestAgainstDenseDissipator:
         assert traj.populations[-1].sum() < 0.9
         assert traj.meta["mech_edge_population"] > 1e-4
 
-    def test_stored_states(self):
-        h_fn, config, rho0 = self.problem(kappa1=0.08, gamma_m=0.05, n_th=0.7)
-        traj = evolve_lindblad(h_fn, config, rho0, self.GRID, store_states=True)
-        dim = int(np.prod(self.DIMS))
-        assert traj.states.shape == (self.GRID.n_points, dim, dim)
-        np.testing.assert_array_equal(traj.states[-1], traj.final_state)
-
     def test_final_state_owns_its_data(self):
         # a view of the solver output would keep the whole history alive
         h_fn, config, rho0 = self.problem(kappa1=0.08, gamma_m=0.05, n_th=0.7)
         traj = evolve_lindblad(h_fn, config, rho0, self.GRID)
-        assert traj.states is None
         assert traj.final_state.base is None
 
     def test_zero_dissipation_matches_schrodinger(self):
