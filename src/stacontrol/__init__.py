@@ -12,18 +12,14 @@ from .core import (  # noqa: F401
     Dissipation,
     SystemConfig,
     TimeGrid,
-    schedule_from_csv,
-    schedule_to_csv,
     vitanov_theta,
     vitanov_theta_dot,
 )
 from .engine import (  # noqa: F401
     EigenSystem,
-    ModeMatrix,
     build_adiabatic_matrix,
     counterdiabatic_matrix,
     effective_matrix,
-    eigen_decompose,
     generic_counterdiabatic,
     synthesize_tqd_pulses,
     tqd_detuning_ratio,

@@ -14,7 +14,7 @@ for scan-decay.  A flag exists only where a run reads it: --workers and
 
 Exit codes: 0 success; 1 a --check threshold failed, or an error such as an
 unreadable --config, one that names a field the subcommand does not read, or
-a non-finite scan value; 2 usage error, including a flag the subcommand does
+a scan value that is not finite or is repeated; 2 usage error, including a flag the subcommand does
 not take, a malformed --range, --values together with --range, or --workers
 below 1.
 """

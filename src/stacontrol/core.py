@@ -17,18 +17,16 @@ whose mixing angle sweeps 0 -> pi/2 with midpoint at t = 5/nu.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .errors import InvalidParameterError, OutOfRangeError
+from .errors import InvalidParameterError
 
 DEFAULT_N_POINTS = 2001
 
-SCHEDULE_KINDS = ("vitanov", "tqd", "constant", "tabulated")
+SCHEDULE_KINDS = ("vitanov", "tqd", "constant")
 
 
 def _check_nu(nu: float) -> None:
@@ -102,15 +100,14 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class CouplingSchedule:
-    """Time-dependent coupling pair (g1(t), g2(t)) plus shape metadata.
+    """Time-dependent coupling pair (g1(t), g2(t)) with analytic rates.
 
     kind is one of:
 
-    * ``vitanov``   -- g1 = g0 sin(theta(t - dt1)), g2 = g0 cos(theta(t - dt2))
-    * ``tqd``       -- synthesized pair G1 = G2 = sqrt(delta * theta_dot(t)),
-                       with per-pulse delays applied the same way
-    * ``constant``  -- fixed (g1, g2) from `values`
-    * ``tabulated`` -- linear interpolation of a (t, g1, g2) sample table
+    * ``vitanov``  -- g1 = g0 sin(theta(t - dt1)), g2 = g0 cos(theta(t - dt2))
+    * ``tqd``      -- synthesized pair G1 = G2 = sqrt(delta * theta_dot(t)),
+                      with per-pulse delays applied the same way
+    * ``constant`` -- fixed (g1, g2) from `values`
 
     `delays` shifts the internal clock of each named pulse: pulse i is
     evaluated at t - delays[i] without altering its shape.
@@ -122,8 +119,6 @@ class CouplingSchedule:
     delta: float = 0.0
     delays: tuple[float, float] = (0.0, 0.0)
     values: tuple[float, float] | None = None
-    samples: np.ndarray | None = None
-    _rates_table: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
@@ -140,22 +135,8 @@ class CouplingSchedule:
             raise InvalidParameterError(
                 f"tqd synthesis requires a positive detuning, got {self.delta}"
             )
-        if self.kind == "constant":
-            if self.values is None:
-                raise InvalidParameterError("constant schedule requires values=(g1, g2)")
-        if self.kind == "tabulated":
-            if self.samples is None:
-                raise InvalidParameterError("tabulated schedule requires a sample table")
-            samples = np.asarray(self.samples, dtype=float)
-            if samples.ndim != 2 or samples.shape[1] != 3 or samples.shape[0] < 2:
-                raise InvalidParameterError("sample table must have shape (n>=2, 3)")
-            if np.any(np.diff(samples[:, 0]) <= 0):
-                raise InvalidParameterError("sample times must be strictly increasing")
-            object.__setattr__(self, "samples", samples)
-            # precomputed finite-difference rates: central in the interior,
-            # one-sided second-order at the endpoints (np.gradient does both)
-            rates = np.gradient(samples[:, 1:], samples[:, 0], axis=0)
-            object.__setattr__(self, "_rates_table", rates)
+        if self.kind == "constant" and self.values is None:
+            raise InvalidParameterError("constant schedule requires values=(g1, g2)")
 
     # -- constructors -------------------------------------------------------
 
@@ -167,10 +148,6 @@ class CouplingSchedule:
     @classmethod
     def constant(cls, g1: float, g2: float) -> "CouplingSchedule":
         return cls(kind="constant", values=(float(g1), float(g2)))
-
-    @classmethod
-    def tabulated(cls, samples) -> "CouplingSchedule":
-        return cls(kind="tabulated", samples=np.asarray(samples, dtype=float))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -184,14 +161,11 @@ class CouplingSchedule:
         if self.kind == "tqd":
             return (np.sqrt(self.delta * vitanov_theta_dot(t1, self.nu)),
                     np.sqrt(self.delta * vitanov_theta_dot(t2, self.nu)))
-        if self.kind == "constant":
-            g1, g2 = self.values
-            return np.full_like(t, g1), np.full_like(t, g2)
-        return (self._interp_column(t1, 1), self._interp_column(t2, 2))
+        g1, g2 = self.values
+        return np.full_like(t, g1), np.full_like(t, g2)
 
     def coupling_rates(self, t):
-        """(dg1/dt, dg2/dt): analytic for vitanov/tqd/constant, finite
-        differences on the sample grid for tabulated schedules."""
+        """(dg1/dt, dg2/dt), analytic for every kind."""
         t = np.asarray(t, dtype=float)
         t1, t2 = t - self.delays[0], t - self.delays[1]
         if self.kind == "vitanov":
@@ -199,14 +173,7 @@ class CouplingSchedule:
                     -self.g0 * np.sin(vitanov_theta(t2, self.nu)) * vitanov_theta_dot(t2, self.nu))
         if self.kind == "tqd":
             return (self._tqd_rate(t1), self._tqd_rate(t2))
-        if self.kind == "constant":
-            return np.zeros_like(t), np.zeros_like(t)
-        tab = self.samples[:, 0]
-        out = []
-        for col, tt in ((0, t1), (1, t2)):
-            self._check_range(tt)
-            out.append(np.interp(tt, tab, self._rates_table[:, col]))
-        return tuple(out)
+        return np.zeros_like(t), np.zeros_like(t)
 
     def _tqd_rate(self, t):
         # d/dt sqrt(delta * theta_dot) = delta * theta_ddot / (2 G); the
@@ -218,27 +185,11 @@ class CouplingSchedule:
             rate = np.where(g > 0, self.delta * tdd / (2.0 * np.where(g > 0, g, 1.0)), 0.0)
         return rate
 
-    def _check_range(self, t):
-        tab = self.samples[:, 0]
-        if np.any(t < tab[0]) or np.any(t > tab[-1]):
-            raise OutOfRangeError(
-                f"time outside tabulated range [{tab[0]}, {tab[-1]}]"
-            )
-
-    def _interp_column(self, t, col):
-        self._check_range(t)
-        return np.interp(t, self.samples[:, 0], self.samples[:, col])
-
-    @property
-    def uses_one_sided_rates(self) -> bool:
-        """True when endpoint derivatives come from one-sided stencils."""
-        return self.kind == "tabulated"
-
     def with_delays(self, dt1: float, dt2: float) -> "CouplingSchedule":
         """Copy of this schedule with the per-pulse delays replaced."""
         return CouplingSchedule(kind=self.kind, g0=self.g0, nu=self.nu,
                                 delta=self.delta, delays=(float(dt1), float(dt2)),
-                                values=self.values, samples=self.samples)
+                                values=self.values)
 
 
 @dataclass(frozen=True)
@@ -271,28 +222,3 @@ class SystemConfig:
             raise InvalidParameterError(
                 f"fock_dims must be three integers >= 2, got {self.fock_dims}"
             )
-
-
-# -- schedule CSV interchange (header: t,g1,g2) -----------------------------
-
-def schedule_to_csv(schedule: CouplingSchedule, grid: TimeGrid, path) -> None:
-    """Sample a schedule on a grid and write it as `t,g1,g2` CSV."""
-    times = grid.times
-    g1, g2 = schedule.couplings(times)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "g1", "g2"])
-        for row in zip(times, g1, g2):
-            writer.writerow([f"{x:.17g}" for x in row])
-
-
-def schedule_from_csv(path) -> CouplingSchedule:
-    """Read a `t,g1,g2` CSV back as a tabulated schedule."""
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t", "g1", "g2"]:
-            raise InvalidParameterError(f"{path}: expected header 't,g1,g2'")
-        samples = [[float(x) for x in row] for row in reader if row]
-    return CouplingSchedule.tabulated(np.asarray(samples))

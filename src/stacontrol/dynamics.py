@@ -1,7 +1,7 @@
 """Propagation in three pictures and observable extraction.
 
 1. Linear Heisenberg-amplitude evolution i dv/dt = M(t) v for a 3-vector of
-   mode amplitudes, driven by any Hermitian ModeMatrix schedule.
+   mode amplitudes, driven by any schedule of Hermitian 3x3 arrays M(t).
 2. Truncated-Fock-space Schrodinger evolution under the beam-splitter
    Hamiltonian H(t) = sum_i delta_i n_i + G_i(t)(a_i^dag b_m + h.c.).
 3. Lindblad master-equation evolution with cavity decay (rates kappa_i) and
@@ -26,7 +26,7 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .core import CouplingSchedule, SystemConfig, TimeGrid
-from .engine import ModeMatrix, counterdiabatic_matrix
+from .engine import counterdiabatic_matrix
 from .errors import InvalidParameterError, SolverError
 
 # defaults documented for cross-implementation reproducibility
@@ -70,24 +70,20 @@ def _integrate(rhs, y0, grid: TimeGrid, rtol, atol):
     return sol
 
 
-def _matrix_entries(m) -> np.ndarray:
-    return m.entries if isinstance(m, ModeMatrix) else np.asarray(m, dtype=complex)
-
-
 # -- (1) Heisenberg-amplitude picture ---------------------------------------
 
 def propagate_amplitudes(matrix_fn, v0, grid: TimeGrid, rtol: float = RTOL_UNITARY,
                          atol: float = ATOL_UNITARY) -> Trajectory:
     """Integrate i dv/dt = M(t) v and report populations |v_i(t)|^2.
 
-    `matrix_fn(t)` may return a ModeMatrix or a plain 3x3 array.
+    `matrix_fn(t)` returns M(t) as a 3x3 array.
     """
     v0 = np.asarray(v0, dtype=complex)
     if v0.shape != (3,):
         raise InvalidParameterError(f"v0 must be a 3-vector, got shape {v0.shape}")
 
     def rhs(t, v):
-        return -1j * (_matrix_entries(matrix_fn(t)) @ v)
+        return -1j * (matrix_fn(t) @ v)
 
     sol = _integrate(rhs, v0, grid, rtol, atol)
     states = sol.y.T
@@ -174,13 +170,13 @@ def fidelity(rho: np.ndarray, dims) -> float:
 
 def build_mode_hamiltonian(matrix_fn, dims):
     """Quadratic Hamiltonian H(t) = sum_jk M_jk(t) a_j^dag a_k on the
-    truncated product space, for any Hermitian 3x3 matrix schedule."""
+    truncated product space; `matrix_fn(t)` returns the Hermitian M(t) as a
+    3x3 array."""
     ann = mode_annihilators(dims)
     hops = np.array([[ann[j].conj().T @ ann[k] for k in range(3)] for j in range(3)])
 
     def h_fn(t):
-        m = _matrix_entries(matrix_fn(t))
-        return np.einsum("jk,jkab->ab", m, hops)
+        return np.einsum("jk,jkab->ab", matrix_fn(t), hops)
 
     return h_fn
 

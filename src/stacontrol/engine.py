@@ -15,43 +15,22 @@ which for the Vitanov family reduces to G = theta_dot(t).  A physically
 realizable stand-in is the large-detuning effective beam-splitter matrix
 M2 with off-diagonal G1 G2 / delta; choosing G1 = G2 = sqrt(delta theta_dot)
 matches |M2| to |M1| pointwise.
+
+Every generator (M, M1, M2 and the generic correction) is returned as a plain
+complex (3, 3) array; the eigenmodes of M at time t are
+`closed_form_eigensystem(*schedule.couplings(t))`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CouplingSchedule
 from .errors import DegenerateSystemError, InvalidBasisError, InvalidParameterError
 
-HERMITICITY_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-8
-
-TAG_ADIABATIC = "M-adiabatic"
-TAG_COUNTERDIABATIC = "M1-counterdiabatic"
-TAG_EFFECTIVE = "M2-effective"
-TAG_OP = "M-op"
-TAG_GENERIC = "generic-counterdiabatic"
-
-
-@dataclass(frozen=True, eq=False)
-class ModeMatrix:
-    """3x3 Hermitian matrix driving Heisenberg-picture amplitude evolution."""
-
-    entries: np.ndarray
-    tag: str
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (3, 3):
-            raise InvalidParameterError(f"expected a 3x3 matrix, got {entries.shape}")
-        scale = max(1.0, float(np.max(np.abs(entries))))
-        if np.max(np.abs(entries - entries.conj().T)) > HERMITICITY_TOL * scale:
-            raise InvalidParameterError(f"matrix tagged {self.tag!r} is not Hermitian")
-        object.__setattr__(self, "entries", entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,13 +45,13 @@ class EigenSystem:
     modes: np.ndarray
 
 
-def build_adiabatic_matrix(schedule: CouplingSchedule, t: float) -> ModeMatrix:
-    """The real symmetric coupling matrix M(t) with zero diagonal."""
+def build_adiabatic_matrix(schedule: CouplingSchedule, t: float) -> np.ndarray:
+    """The real symmetric coupling matrix M(t) with zero diagonal, as a
+    complex (3, 3) array."""
     g1, g2 = schedule.couplings(t)
-    entries = np.array([[0.0, g1, 0.0],
-                        [g1, 0.0, g2],
-                        [0.0, g2, 0.0]], dtype=complex)
-    return ModeMatrix(entries, TAG_ADIABATIC, {"g1": float(g1), "g2": float(g2)})
+    return np.array([[0.0, g1, 0.0],
+                     [g1, 0.0, g2],
+                     [0.0, g2, 0.0]], dtype=complex)
 
 
 def closed_form_eigensystem(g1: float, g2: float) -> EigenSystem:
@@ -92,40 +71,27 @@ def closed_form_eigensystem(g1: float, g2: float) -> EigenSystem:
     return EigenSystem(values, modes)
 
 
-def eigen_decompose(m: ModeMatrix) -> EigenSystem:
-    """Eigen decomposition of an adiabatic-form ModeMatrix via the closed forms."""
-    g1 = float(m.entries[0, 1].real)
-    g2 = float(m.entries[1, 2].real)
-    return closed_form_eigensystem(g1, g2)
-
-
-def coupling_g_scalar(schedule: CouplingSchedule, t: float) -> tuple[float, bool]:
-    """The counter-diabatic scalar G = (g1dot g2 - g1 g2dot)/g0^2 at time t.
-
-    Returns (G, degenerate); G is 0 with degenerate=True at an instant where
-    both couplings vanish (no drive means no correction).
-    """
+def coupling_g_scalar(schedule: CouplingSchedule, t: float) -> float:
+    """The counter-diabatic scalar G = (g1dot g2 - g1 g2dot)/g0^2 at time t;
+    0 at an instant where both couplings vanish (no drive, no correction)."""
     g1, g2 = schedule.couplings(t)
     d1, d2 = schedule.coupling_rates(t)
     g0sq = float(g1) ** 2 + float(g2) ** 2
     if g0sq == 0.0:
-        return 0.0, True
-    return float((d1 * g2 - g1 * d2) / g0sq), False
+        return 0.0
+    return float((d1 * g2 - g1 * d2) / g0sq)
 
 
-def counterdiabatic_matrix(schedule: CouplingSchedule, t: float) -> ModeMatrix:
-    """The transitionless matrix M1(t): purely imaginary, antisymmetric, with
-    only the outer-mode corner entries nonzero."""
-    g_scalar, degenerate = coupling_g_scalar(schedule, t)
-    entries = np.array([[0.0, 0.0, 1j * g_scalar],
-                        [0.0, 0.0, 0.0],
-                        [-1j * g_scalar, 0.0, 0.0]], dtype=complex)
-    meta = {"G": g_scalar, "degenerate": degenerate,
-            "one_sided_rates": schedule.uses_one_sided_rates}
-    return ModeMatrix(entries, TAG_COUNTERDIABATIC, meta)
+def counterdiabatic_matrix(schedule: CouplingSchedule, t: float) -> np.ndarray:
+    """The transitionless matrix M1(t) as a (3, 3) array: purely imaginary,
+    antisymmetric, with only the outer-mode corner entries nonzero."""
+    g_scalar = coupling_g_scalar(schedule, t)
+    return np.array([[0.0, 0.0, 1j * g_scalar],
+                     [0.0, 0.0, 0.0],
+                     [-1j * g_scalar, 0.0, 0.0]], dtype=complex)
 
 
-def generic_counterdiabatic(basis_fn, t: float, dt: float = 1e-4) -> ModeMatrix:
+def generic_counterdiabatic(basis_fn, t: float, dt: float = 1e-4) -> np.ndarray:
     """Counter-diabatic generator i sum_n |d psi_n/dt><psi_n| from a supplied
     orthonormal eigenmode schedule.
 
@@ -146,8 +112,7 @@ def generic_counterdiabatic(basis_fn, t: float, dt: float = 1e-4) -> ModeMatrix:
     entries = 1j * dbasis @ basis.conj().T
     # exact orthonormality makes this Hermitian; symmetrize away the O(dt^2)
     # finite-difference remainder
-    entries = 0.5 * (entries + entries.conj().T)
-    return ModeMatrix(entries, TAG_GENERIC, {"dt": dt})
+    return 0.5 * (entries + entries.conj().T)
 
 
 def synthesize_tqd_pulses(nu: float, delta: float) -> CouplingSchedule:
@@ -175,19 +140,18 @@ def tqd_detuning_ratio(nu: float, delta: float) -> float:
     return float(delta / tqd_max_coupling(nu, delta))
 
 
-def effective_matrix(g_1: float, g_2: float, delta: float) -> ModeMatrix:
-    """The adiabatically eliminated beam-splitter matrix M2 with off-diagonal
-    G1 G2 / delta on the outer-mode corner."""
+def effective_matrix(g_1: float, g_2: float, delta: float) -> np.ndarray:
+    """The adiabatically eliminated beam-splitter matrix M2 as a (3, 3) array,
+    with off-diagonal G1 G2 / delta on the outer-mode corner."""
     if delta == 0:
         raise InvalidParameterError("delta must be nonzero")
     omega = g_1 * g_2 / delta
-    entries = np.array([[0.0, 0.0, omega],
-                        [0.0, 0.0, 0.0],
-                        [omega, 0.0, 0.0]], dtype=complex)
-    return ModeMatrix(entries, TAG_EFFECTIVE, {"omega": float(omega)})
+    return np.array([[0.0, 0.0, omega],
+                     [0.0, 0.0, 0.0],
+                     [omega, 0.0, 0.0]], dtype=complex)
 
 
-def effective_matrix_at(schedule: CouplingSchedule, t: float) -> ModeMatrix:
+def effective_matrix_at(schedule: CouplingSchedule, t: float) -> np.ndarray:
     """M2(t) evaluated from a synthesized schedule's own couplings."""
     if schedule.kind != "tqd":
         raise InvalidParameterError("effective_matrix_at requires a tqd schedule")

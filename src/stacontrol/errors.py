@@ -9,10 +9,6 @@ class InvalidParameterError(StaControlError, ValueError):
     """A physical or numerical parameter is outside its admissible range."""
 
 
-class OutOfRangeError(StaControlError, ValueError):
-    """A time was requested outside the range covered by a tabulated schedule."""
-
-
 class DegenerateSystemError(StaControlError, ValueError):
     """Both couplings vanish; the closed-form eigenmodes are undefined."""
 

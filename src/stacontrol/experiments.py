@@ -232,6 +232,8 @@ def _scan(values, settings: dict, workers: int) -> ScanResult:
         raise InvalidParameterError("scan values must be non-empty")
     if not all(np.isfinite(values)):
         raise InvalidParameterError(f"scan values must be finite, got {values}")
+    if len(set(values)) < len(values):
+        raise InvalidParameterError(f"scan values must be distinct, got {values}")
     out = _map_ordered(_scan_row, [(settings, v) for v in values], workers)
     return ScanResult(tuple(row for row, _ in out), settings,
                       trajectories=tuple(traj for _, traj in out))
@@ -298,18 +300,22 @@ def run_delay_scan(delta_ts, which_pulse: str, delta: float = 40.0,
 
 # -- decay scan -------------------------------------------------------------
 
+def _check_protocol(protocol) -> None:
+    if protocol not in ("adiabatic", "tqd"):
+        raise InvalidParameterError(
+            f"protocol must be 'adiabatic' or 'tqd', got {protocol!r}")
+
+
 def decay_run(kappa, protocol, nu, delta=40.0, dims=(2, 6, 2), gamma_m=5e-4,
               n_th=100.0, n_points=801, rtol=RTOL_LINDBLAD):
     """One open-system protocol run; returns (trajectory, fidelity F)."""
+    _check_protocol(protocol)
     if protocol == "tqd":
         schedule = synthesize_tqd_pulses(nu, delta)
         h_fn = build_h3(schedule, delta, delta, dims)
-    elif protocol == "adiabatic":
+    else:
         schedule = CouplingSchedule.vitanov(g0=1.0, nu=nu)
         h_fn = build_h3(schedule, 0.0, 0.0, dims)
-    else:
-        raise InvalidParameterError(
-            f"protocol must be 'adiabatic' or 'tqd', got {protocol!r}")
     grid = TimeGrid(0.0, 10.0 / nu, n_points)
     config = SystemConfig(
         schedule=schedule,
@@ -333,6 +339,7 @@ def run_decay_scan(kappas=DEFAULT_KAPPA_GRID, protocol: str = "tqd",
     The adiabatic arm uses Vitanov couplings at nu = 0.5 by default; the
     transitionless arm uses synthesized pulses at nu = 2, delta = 40.
     """
+    _check_protocol(protocol)
     if nu is None:
         nu = 0.5 if protocol == "adiabatic" else 2.0
     return _scan(kappas, {"metric": "fidelity-F", "axis": "kappa", "protocol": protocol,

@@ -8,12 +8,10 @@ from stacontrol.core import (
     Dissipation,
     SystemConfig,
     TimeGrid,
-    schedule_from_csv,
-    schedule_to_csv,
     vitanov_theta,
     vitanov_theta_dot,
 )
-from stacontrol.errors import InvalidParameterError, OutOfRangeError
+from stacontrol.errors import InvalidParameterError
 
 RNG = np.random.default_rng(1234)
 
@@ -108,24 +106,6 @@ class TestCouplingSchedule:
         d1, d2 = sched.coupling_rates(3.0)
         assert d1 == 0 and d2 == 0
 
-    def test_tabulated_interpolation(self):
-        samples = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.5], [2.0, 2.0, 0.0]])
-        sched = CouplingSchedule.tabulated(samples)
-        g1, g2 = sched.couplings(0.5)
-        assert g1 == pytest.approx(0.5)
-        assert g2 == pytest.approx(0.75)
-
-    def test_tabulated_out_of_range(self):
-        sched = CouplingSchedule.tabulated([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        with pytest.raises(OutOfRangeError):
-            sched.couplings(1.5)
-        with pytest.raises(OutOfRangeError):
-            sched.coupling_rates(-0.1)
-
-    def test_tabulated_needs_increasing_times(self):
-        with pytest.raises(InvalidParameterError):
-            CouplingSchedule.tabulated([[0.0, 0, 1], [0.0, 1, 0]])
-
     def test_bad_kind(self):
         with pytest.raises(InvalidParameterError):
             CouplingSchedule(kind="mystery")
@@ -183,23 +163,3 @@ class TestSystemConfig:
     def test_mechanical_dim_may_exceed_optical(self):
         config = SystemConfig(schedule=CouplingSchedule.vitanov(), fock_dims=(2, 6, 2))
         assert config.fock_dims == (2, 6, 2)
-
-
-class TestScheduleCsv:
-    def test_round_trip(self, tmp_path):
-        sched = CouplingSchedule.vitanov(g0=1.0, nu=2.0)
-        grid = TimeGrid(0.0, 5.0, 201)
-        path = tmp_path / "sched.csv"
-        schedule_to_csv(sched, grid, path)
-        loaded = schedule_from_csv(path)
-        assert loaded.kind == "tabulated"
-        ts = grid.times
-        np.testing.assert_allclose(np.column_stack(loaded.couplings(ts)),
-                                   np.column_stack(sched.couplings(ts)),
-                                   rtol=1e-15, atol=1e-300)
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("time,a,b\n0,0,1\n1,1,0\n")
-        with pytest.raises(InvalidParameterError):
-            schedule_from_csv(path)

@@ -141,7 +141,7 @@ class TestBuildH3:
             h = h_fn(t)
             block = np.array([[b1.conj() @ h @ b2 for b2 in basis] for b1 in basis])
             np.testing.assert_allclose(
-                block, build_adiabatic_matrix(sched, t).entries, atol=1e-12)
+                block, build_adiabatic_matrix(sched, t), atol=1e-12)
 
     def test_invalid_dims(self):
         with pytest.raises(InvalidParameterError):

@@ -167,6 +167,11 @@ class TestPoolSize:
         assert len(result.rows) == 1
         assert sizes == []
 
+    def test_protocol_checked_before_pool(self, sizes):
+        with pytest.raises(InvalidParameterError, match="protocol"):
+            run_decay_scan([0.01, 0.02], "mystery", workers=2)
+        assert sizes == []
+
 
 class TestDecayScan:
     def test_default_kappa_grid(self):
@@ -207,12 +212,21 @@ class TestScanSpec:
                 scan([])
 
     def test_non_finite_values(self, tmp_path, capsys):
-        for scan, values in zip(self.SCANS, ([0.0, np.inf], [0.1, np.nan],
-                                             [40.0, -np.inf])):
-            with pytest.raises(InvalidParameterError, match="finite"):
-                scan(values)
-        for command in ("scan-decay", "scan-delay", "scan-detuning"):
-            out = tmp_path / command
-            assert main([command, "--values", "0.1", "nan", "--out", str(out)]) == 1
-            assert "finite" in capsys.readouterr().err
-            assert not out.exists()
+        # a repeated value is rejected the same way, with its own message
+        cases = (
+            ("finite", ([0.0, np.inf], [0.1, np.nan], [40.0, -np.inf]),
+             (["0.1", "nan"],) * 3),
+            ("distinct", ([0.01, 0.01], [0.1, 0.1], [40.0, 40.0]),
+             (["0.01", "0.01", "--check"], ["0.1", "0.1", "--check"],
+              ["40", "40", "--check"])),
+        )
+        for message, scan_values, flag_values in cases:
+            for scan, values in zip(self.SCANS, scan_values):
+                with pytest.raises(InvalidParameterError, match=message):
+                    scan(values)
+            for command, flags in zip(("scan-decay", "scan-delay", "scan-detuning"),
+                                      flag_values):
+                out = tmp_path / message / command
+                assert main([command, "--values", *flags, "--out", str(out)]) == 1
+                assert f"error: scan values must be {message}" in capsys.readouterr().err
+                assert not out.exists()
