@@ -13,10 +13,10 @@ for scan-decay.  A flag exists only where a run reads it: --workers and
 --save-trajectories on the scans, --check where a threshold exists.
 
 Exit codes: 0 success; 1 a --check threshold failed, or an error such as an
-unreadable --config, one that names a field the subcommand does not read, or
-a scan value that is not finite or is repeated; 2 usage error, including a flag the subcommand does
-not take, a malformed --range, --values together with --range, or --workers
-below 1.
+unreadable --config, one that names a field the subcommand does not read, a
+scan value that is not finite or is repeated, or a repeated fig2-suite rate;
+2 usage error, including a flag the subcommand does not take, a malformed
+--range, --values together with --range, or --workers below 1.
 """
 
 from __future__ import annotations
@@ -155,12 +155,11 @@ def cmd_derive_pulse(args) -> int:
 def cmd_transfer(args) -> int:
     cfg = _merge_config(args, {
         "schedule": {"nu": args.nu, "delta": args.delta},
-        "system": {"fock_dims": args.dims},
         "grid": {"t_start": None, "t_end": None, "n_points": None},
         "solver": {"rtol_unitary": None}})
     res, _, _, conv = converged_run(
         "final-p2", cfg["solver"]["rtol_unitary"], **cfg["schedule"],
-        dims=cfg["system"]["fock_dims"], grid=TimeGrid(**cfg["grid"]))
+        grid=TimeGrid(**cfg["grid"]))
     outdir = _outdir(args)
     _write_trajectory(outdir / "trajectory.csv", res.trajectory)
     print(f"transfer: final p2 = {res.final_p2:.6f}, "
@@ -182,7 +181,7 @@ def cmd_fig2_suite(args) -> int:
     failures = []
     finals = {}
     for nu, scenario in suite.items():
-        label = f"{nu:g}"
+        label = np.format_float_positional(nu, trim="-")
         times = scenario.grid.times
         _write_csv(outdir / f"couplings_nu{label}.csv", ["t", "g1", "g2"],
                    np.column_stack([times, scenario.coupling_traces]))
@@ -333,11 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, check=False)
     p.set_defaults(func=cmd_derive_pulse)
 
-    p = subs.add_parser("transfer", help="optomechanical Fock-space transfer")
+    p = subs.add_parser("transfer", help="optomechanical photon-phonon transfer")
     p.add_argument("--nu", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--dims", type=lambda s: [int(x) for x in s.split(",")],
-                   help="fock dims d1,dm,d2")
     _add_common(p)
     p.set_defaults(func=cmd_transfer)
 

@@ -1,6 +1,6 @@
 """Per-subcommand configuration and run manifests.
 
-A config is a YAML mapping of sections to fields.  Ten fields exist in all
+A config is a YAML mapping of sections to fields.  Nine fields exist in all
 (`FIELDS`), and each subcommand accepts only those its run reads: a config
 naming any other section or field is a ConfigError.  Each value comes from
 the subcommand's flag if one was given, else from the file, else from its
@@ -46,17 +46,9 @@ def _nonnegative(value) -> float:
     return value
 
 
-def _dims(value) -> tuple[int, int, int]:
-    dims = tuple(operator.index(d) for d in value)
-    if len(dims) != 3:
-        raise ValueError("expected three mode dimensions")
-    return dims
-
-
 # section -> field -> (default, conversion and check)
 FIELDS = {
     "schedule": {"nu": (2.0, _positive), "delta": (40.0, _positive)},
-    "system": {"fock_dims": ((2, 2, 2), _dims)},
     "grid": {"t_start": (0.0, _real), "t_end": (None, _real),
              "n_points": (DEFAULT_N_POINTS, operator.index)},
     "dissipation": {"gamma_m": (5e-4, _nonnegative), "n_th": (100.0, _nonnegative)},
@@ -117,6 +109,8 @@ def resolve(data: dict, fields: dict, command: str) -> dict:
                 value = default
             if value is not None:
                 try:
+                    if isinstance(value, bool):  # float() and index() read it as 1 or 0
+                        raise TypeError("a boolean is not a number")
                     value = convert(value)
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(

@@ -2,8 +2,11 @@
 
 1. Linear Heisenberg-amplitude evolution i dv/dt = M(t) v for a 3-vector of
    mode amplitudes, driven by any schedule of Hermitian 3x3 arrays M(t).
+   Every closed run of the package uses it, the one-excitation Fock transfer
+   included (there M carries the detunings on its diagonal).
 2. Truncated-Fock-space Schrodinger evolution under the beam-splitter
-   Hamiltonian H(t) = sum_i delta_i n_i + G_i(t)(a_i^dag b_m + h.c.).
+   Hamiltonian H(t) = sum_i delta_i n_i + G_i(t)(a_i^dag b_m + h.c.), kept
+   as an independent oracle for picture 1.
 3. Lindblad master-equation evolution with cavity decay (rates kappa_i) and
    thermal mechanical damping (rate gamma_m, occupation n_th).  The density
    matrix is integrated as row-major vec(rho) = rho.ravel(); the static

@@ -2,8 +2,8 @@
 
 * fig2 suite   -- adiabatic vs transitionless three-mode transfer at several
                   shape rates nu (coupling traces + population histories).
-* fig4 transfer -- optomechanical Fock-space transfer with synthesized pulses,
-                  including the maximum mechanical (phonon) population.
+* fig4 transfer -- optomechanical transfer with synthesized pulses on the 3x3
+                  amplitude engine, with the maximum phonon population.
 * detuning scan -- max phonon number vs detuning delta at fixed nu.
 * delay scan   -- robustness of the transfer against shifting one pulse in time.
 * decay scan   -- open-system fidelity vs cavity decay kappa for the adiabatic
@@ -33,7 +33,7 @@ from .dynamics import (
     build_h3,
     density_from_pure,
     evolve_lindblad,
-    evolve_schrodinger,
+    evolve_schrodinger,  # not called here; bench/tracer.py wraps it  # noqa: F401
     fidelity,
     fock_state,
     propagate_amplitudes,
@@ -138,31 +138,34 @@ def run_fig2_suite(nus=(0.5, 1.0, 2.0), g0: float = 1.0,
                    rtol: float = RTOL_UNITARY) -> dict[float, Fig2Scenario]:
     """Coupling traces plus adiabatic and transitionless population histories
     for each shape rate, from the 3x3 amplitude engine with v0 = [1, 0, 0]."""
-    return {float(nu): run_fig2_scenario(float(nu), g0, n_points, rtol)
-            for nu in nus}
+    nus = tuple(float(nu) for nu in nus)
+    if len(set(nus)) < len(nus):
+        raise InvalidParameterError(f"shape rates must be distinct, got {nus}")
+    return {nu: run_fig2_scenario(nu, g0, n_points, rtol) for nu in nus}
 
 
-# -- fig4: optomechanical Fock-space transfer -------------------------------
+# -- fig4: optomechanical photon-phonon transfer ----------------------------
 
 @dataclass(frozen=True, eq=False)
 class TransferResult:
-    """Fock-space transfer outcome with phonon bookkeeping."""
+    """Closed transfer outcome: the trajectory, its peak mechanical (phonon)
+    and final target-cavity populations, and the ratio delta/maxG."""
 
     trajectory: Trajectory
     max_phonon: float
     final_p2: float
     detuning_ratio: float
-    schedule: CouplingSchedule
-    grid: TimeGrid
 
 
 def run_fig4_transfer(delta: float = 40.0, nu: float = 2.0,
-                      dims=(2, 2, 2), grid: TimeGrid | None = None,
+                      grid: TimeGrid | None = None,
                       delays: tuple[float, float] = (0.0, 0.0),
                       rtol: float = RTOL_UNITARY,
                       ratio_warn: float = 5.0) -> TransferResult:
-    """Schrodinger run of the optomechanical Hamiltonian with synthesized
-    pulses, psi0 = |100>; reports the peak mechanical population."""
+    """The optomechanical transfer from |100> with synthesized pulses.  H3
+    conserves the excitation number, so this is exactly, for any Fock
+    truncation, i dv/dt = (M(t) + diag(delta, 0, delta)) v from v0 = [1, 0, 0],
+    with |v_i|^2 the mode occupations <n_i>."""
     schedule = synthesize_tqd_pulses(nu, delta).with_delays(*delays)
     ratio = tqd_detuning_ratio(nu, delta)
     if ratio < ratio_warn:
@@ -172,16 +175,15 @@ def run_fig4_transfer(delta: float = 40.0, nu: float = 2.0,
             "adiabatic elimination may be poor", stacklevel=2)
     if grid is None:
         grid = TimeGrid.vitanov_default(nu)
-    h_fn = build_h3(schedule, delta, delta, dims)
-    psi0 = fock_state(dims, (1, 0, 0))
-    traj = evolve_schrodinger(h_fn, psi0, dims, grid, rtol=rtol)
+    detunings = np.diag([delta, 0.0, delta]).astype(complex)  # M's dtype: no cast per call
+    traj = propagate_amplitudes(
+        lambda t: build_adiabatic_matrix(schedule, t) + detunings,
+        np.array([1.0, 0.0, 0.0], dtype=complex), grid, rtol=rtol)
     return TransferResult(
         trajectory=traj,
         max_phonon=float(traj.populations[:, 1].max()),
         final_p2=float(traj.populations[-1, 2]),
         detuning_ratio=ratio,
-        schedule=schedule,
-        grid=grid,
     )
 
 
@@ -241,17 +243,18 @@ def _scan(values, settings: dict, workers: int) -> ScanResult:
 
 # -- detuning scan ----------------------------------------------------------
 
-def run_detuning_scan(deltas, nu: float = 2.0, dims=(2, 2, 2),
+def run_detuning_scan(deltas, nu: float = 2.0, dims=None,
                       n_points: int = 2001, rtol: float = RTOL_UNITARY,
                       workers: int = 1) -> ScanResult:
-    """Per delta: synthesize pulses, run the Fock transfer, record the max
+    """Per delta: synthesize pulses, run the transfer, record the max
     phonon population and the ratio delta/maxG.
 
     When the scan has more than one point, `meta` carries a log-log fit of
     max-phonon against the detuning ratio (and against delta), plus the
     relative spread of max-phonon * ratio.
     """
-    settings = {"metric": "max-phonon", "axis": "delta", "nu": nu, "dims": tuple(dims),
+    # `dims` is ignored: the run needs no truncation; bench/workloads.py passes it
+    settings = {"metric": "max-phonon", "axis": "delta", "nu": nu,
                 "grid": asdict(TimeGrid(0.0, 10.0 / nu, n_points)), "rtol": rtol}
     result = _scan(deltas, settings, workers)
     ratios = np.array([tqd_detuning_ratio(nu, row[0]) for row in result.rows])
@@ -276,7 +279,7 @@ def delay_scan_grid(nu: float, pad: float = DEFAULT_DELAY_PAD,
 
 
 def run_delay_scan(delta_ts, which_pulse: str, delta: float = 40.0,
-                   nu: float = 2.0, dims=(2, 2, 2),
+                   nu: float = 2.0, dims=None,
                    pad: float = DEFAULT_DELAY_PAD, n_points: int = 2001,
                    rtol: float = RTOL_UNITARY, workers: int = 1) -> ScanResult:
     """Shift the named pulse ("G1", "G2" or "both") by each dt and rerun
@@ -292,8 +295,9 @@ def run_delay_scan(delta_ts, which_pulse: str, delta: float = 40.0,
         if abs(dt) > 5.0 / nu:
             raise InvalidParameterError(
                 f"|delay| = {abs(dt)} exceeds the sane window 5/nu = {5.0 / nu}")
+    # `dims` is ignored: the run needs no truncation; bench/workloads.py passes it
     settings = {"metric": "final-p2", "axis": "delta_t", "pulse": which_pulse,
-                "delta": delta, "nu": nu, "dims": tuple(dims),
+                "delta": delta, "nu": nu,
                 "grid": asdict(delay_scan_grid(nu, pad, n_points)), "rtol": rtol}
     return _scan(delta_ts, settings, workers)
 

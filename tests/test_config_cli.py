@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from stacontrol import dynamics
+from stacontrol import dynamics, experiments
 from stacontrol.cli import build_parser, main
 from stacontrol.config import FIELDS, read_config, resolve
 from stacontrol.errors import ConfigError
@@ -65,7 +65,6 @@ class TestConfigResolution:
         resolved = json.loads((first / "manifest.json").read_text())["resolved_config"]
         assert resolved == {
             "schedule": {"nu": 1.5, "delta": 40.0},
-            "system": {"fock_dims": [2, 2, 2]},
             "grid": {"t_start": 0.0, "t_end": 10.0 / 1.5, "n_points": 101},
             "solver": {"rtol_unitary": 1e-9}}
         path = write_config(tmp_path, json.dumps(resolved), "resolved.yaml")
@@ -76,7 +75,7 @@ class TestConfigResolution:
 class TestCliExitCodes:
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
-            main(["transfer", "--dims"])
+            main(["transfer", "--nu"])
         assert exc.value.code == 2
 
     def test_unknown_subcommand_is_2(self):
@@ -286,8 +285,7 @@ GRID = {"grid.t_start", "grid.t_end", "grid.n_points"}
 # subcommand -> (cheap arguments, the fields its run reads)
 SUBCOMMANDS = {
     "derive-pulse": ([], {"schedule.nu", "schedule.delta"} | GRID),
-    "transfer": ([], {"schedule.nu", "schedule.delta", "system.fock_dims",
-                      "solver.rtol_unitary"} | GRID),
+    "transfer": ([], {"schedule.nu", "schedule.delta", "solver.rtol_unitary"} | GRID),
     "fig2-suite": (["--nu", "2"], {"solver.rtol_unitary"}),
     "scan-detuning": (["--values", "40"], {"schedule.nu", "solver.rtol_unitary"}),
     "scan-delay": (["--values", "0.1"], {"schedule.nu", "schedule.delta",
@@ -297,10 +295,10 @@ SUBCOMMANDS = {
 }
 
 
-def test_ten_settable_fields():
+def test_nine_settable_fields():
     accepted = set().union(*(fields for _, fields in SUBCOMMANDS.values()))
     assert accepted == {f"{s}.{k}" for s, fields in FIELDS.items() for k in fields}
-    assert len(accepted) == 10 and accepted < set(OLD_FIELDS)
+    assert len(accepted) == 9 and accepted < set(OLD_FIELDS)
 
 
 @pytest.mark.filterwarnings("ignore::stacontrol.dynamics.TruncationWarning")
@@ -364,7 +362,7 @@ def test_scan_manifest_records_the_run(tmp_path, command, argv, grid, record):
     assert main([command, *argv, "--out", str(out)]) == 0
     settings = json.loads((out / "manifest.json").read_text())["settings"]
     assert settings["grid"] == grid
-    assert settings["dims"] == [2, 2, 2] and settings["nu"] == 2.0
+    assert "dims" not in settings and settings["nu"] == 2.0
     assert settings["rtol"] == 1e-9
     assert settings.items() >= record.items()
 
@@ -415,8 +413,10 @@ def test_values_and_range_exclude_each_other(tmp_path, capsys, command, values_f
 @pytest.mark.parametrize("command, text, field", [
     ("scan-decay", "dissipation:\n  gamma_m: abc\n", "dissipation.gamma_m"),
     ("transfer", "solver:\n  rtol_unitary: [1]\n", "solver.rtol_unitary"),
-    ("transfer", "system:\n  fock_dims: 3\n", "system.fock_dims"),
+    ("transfer", "grid:\n  n_points: true\n", "grid.n_points"),
     ("scan-detuning", "schedule:\n  nu: 0\n", "schedule.nu"),
+    ("derive-pulse", "schedule:\n  nu: true\n", "schedule.nu"),
+    ("fig2-suite", "solver:\n  rtol_unitary: true\n", "solver.rtol_unitary"),
 ])
 def test_malformed_value_is_1(tmp_path, capsys, command, text, field):
     path = write_config(tmp_path, text)
@@ -424,6 +424,26 @@ def test_malformed_value_is_1(tmp_path, capsys, command, text, field):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fig2_suite_labels_each_rate_exactly(tmp_path):
+    out = tmp_path / "out"
+    assert main(["fig2-suite", "--nu", "1", "--nu", "1.0000001", "--out", str(out)]) == 0
+    assert set(csv_bytes(out)) == {f"{kind}_nu{label}.csv"
+                                   for kind in ("adiabatic", "couplings", "tqd")
+                                   for label in ("1", "1.0000001")}
+
+
+def test_fig2_suite_repeated_rate_is_1(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr(experiments, "run_fig2_scenario", no_run)
+    out = tmp_path / "out"
+    assert main(["fig2-suite", "--nu", "2", "--nu", "2.0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: shape rates must be distinct")
+    assert not out.exists()
 
 
 def test_points_flag_overrides_grid(tmp_path):

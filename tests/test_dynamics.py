@@ -130,18 +130,21 @@ class TestBuildH3:
             assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
     def test_single_excitation_block_is_mode_matrix(self):
-        # restricting H3 (deltas = 0) to {|100>, |010>, |001>} reproduces the
-        # 3x3 amplitude matrix
-        sched = CouplingSchedule.vitanov(g0=1.0, nu=2.0)
+        # restricting H3 to {|100>, |010>, |001>} reproduces the 3x3 amplitude
+        # matrix with the detunings on the diagonal
         dims = (2, 2, 2)
-        h_fn = build_h3(sched, 0.0, 0.0, dims)
         basis = [fock_state(dims, occ)
                  for occ in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-        for t in (1.0, 2.5, 4.0):
-            h = h_fn(t)
-            block = np.array([[b1.conj() @ h @ b2 for b2 in basis] for b1 in basis])
-            np.testing.assert_allclose(
-                block, build_adiabatic_matrix(sched, t), atol=1e-12)
+        for sched, delta in (
+                (CouplingSchedule.vitanov(g0=1.0, nu=2.0), 0.0),
+                (synthesize_tqd_pulses(2.0, 40.0).with_delays(0.3, 0.0), 40.0)):
+            h_fn = build_h3(sched, delta, delta, dims)
+            for t in (1.0, 2.5, 4.0):
+                h = h_fn(t)
+                block = np.array([[b1.conj() @ h @ b2 for b2 in basis] for b1 in basis])
+                np.testing.assert_allclose(
+                    block, build_adiabatic_matrix(sched, t) + np.diag([delta, 0.0, delta]),
+                    atol=1e-12)
 
     def test_invalid_dims(self):
         with pytest.raises(InvalidParameterError):

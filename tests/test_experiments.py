@@ -3,7 +3,8 @@ import pytest
 
 from stacontrol import experiments
 from stacontrol.cli import main
-from stacontrol.dynamics import Trajectory
+from stacontrol.dynamics import Trajectory, build_h3, evolve_schrodinger, fock_state
+from stacontrol.engine import synthesize_tqd_pulses
 from stacontrol.errors import InvalidParameterError
 from stacontrol.experiments import (
     DEFAULT_KAPPA_GRID,
@@ -72,6 +73,17 @@ class TestFig4:
     def test_low_ratio_warns(self):
         with pytest.warns(UserWarning, match="detuning ratio"):
             run_fig4_transfer(delta=2.0)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3)])
+    def test_matches_fock_oracle(self, dims):
+        # the one-excitation run is the Fock-space run at any truncation
+        grid = delay_scan_grid(2.0)
+        res = run_fig4_transfer(delta=40.0, nu=2.0, grid=grid, delays=(0.3, 0.0))
+        sched = synthesize_tqd_pulses(2.0, 40.0).with_delays(0.3, 0.0)
+        fock = evolve_schrodinger(build_h3(sched, 40.0, 40.0, dims),
+                                  fock_state(dims, (1, 0, 0)), dims, grid)
+        np.testing.assert_allclose(res.trajectory.populations, fock.populations,
+                                   rtol=0, atol=1e-6)
 
 
 class TestDetuningScan:
