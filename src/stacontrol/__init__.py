@@ -1,8 +1,8 @@
 """Fast transitionless control of three-mode bosonic systems.
 
 Pulse synthesis (Vitanov adiabatic shapes and counter-diabatic pairs),
-amplitude / Schrodinger / Lindblad propagation, and the scenario runners and
-parameter scans built on top of them.
+amplitude, Gaussian-channel, Schrodinger and Lindblad propagation, and the
+scenario runners and parameter scans built on top of them.
 """
 
 __version__ = "0.1.0"
@@ -34,6 +34,7 @@ from .dynamics import (  # noqa: F401
     fidelity,
     fock_state,
     propagate_amplitudes,
+    propagate_channel,
     propagate_tqd_amplitudes,
 )
 from .experiments import (  # noqa: F401

@@ -158,7 +158,7 @@ def cmd_transfer(args) -> int:
         "grid": {"t_start": None, "t_end": None, "n_points": None},
         "solver": {"rtol_unitary": None}})
     res, _, _, conv = converged_run(
-        "final-p2", cfg["solver"]["rtol_unitary"], **cfg["schedule"],
+        "final-p2", rtol=cfg["solver"]["rtol_unitary"], **cfg["schedule"],
         grid=TimeGrid(**cfg["grid"]))
     outdir = _outdir(args)
     _write_trajectory(outdir / "trajectory.csv", res.trajectory)
@@ -257,15 +257,13 @@ def cmd_scan_delay(args) -> int:
 
 def cmd_scan_decay(args) -> int:
     cfg = _merge_config(args, {
-        "dissipation": {"gamma_m": args.gamma_m, "n_th": args.n_th},
-        "solver": {"rtol_lindblad": None}})
+        "dissipation": {"gamma_m": args.gamma_m, "n_th": args.n_th}})
     kappas = args.values or list(DEFAULT_KAPPA_GRID)
     protocols = ["adiabatic", "tqd"] if args.protocol == "both" else [args.protocol]
     results = {}
     for protocol in protocols:
         results[protocol] = run_decay_scan(
-            kappas, protocol, **cfg["dissipation"],
-            rtol=cfg["solver"]["rtol_lindblad"], workers=args.workers)
+            kappas, protocol, **cfg["dissipation"], workers=args.workers)
     outdir = _outdir(args)
     header = ["kappa"] + [f"F_{p}" for p in protocols] \
         + [f"convergence_delta_{p}" for p in protocols]

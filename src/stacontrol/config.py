@@ -1,6 +1,6 @@
 """Per-subcommand configuration and run manifests.
 
-A config is a YAML mapping of sections to fields.  Nine fields exist in all
+A config is a YAML mapping of sections to fields.  Eight fields exist in all
 (`FIELDS`), and each subcommand accepts only those its run reads: a config
 naming any other section or field is a ConfigError.  Each value comes from
 the subcommand's flag if one was given, else from the file, else from its
@@ -15,13 +15,14 @@ import datetime
 import json
 import math
 import operator
+import re
 from pathlib import Path
 
 import yaml
 
 from . import __version__
 from .core import DEFAULT_N_POINTS, TimeGrid
-from .dynamics import RTOL_LINDBLAD, RTOL_UNITARY
+from .dynamics import RTOL_UNITARY
 from .errors import ConfigError
 
 
@@ -52,9 +53,20 @@ FIELDS = {
     "grid": {"t_start": (0.0, _real), "t_end": (None, _real),
              "n_points": (DEFAULT_N_POINTS, operator.index)},
     "dissipation": {"gamma_m": (5e-4, _nonnegative), "n_th": (100.0, _nonnegative)},
-    "solver": {"rtol_unitary": (RTOL_UNITARY, _positive),
-               "rtol_lindblad": (RTOL_LINDBLAD, _positive)},
+    "solver": {"rtol_unitary": (RTOL_UNITARY, _positive)},
 }
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that reads every YAML 1.2 float as a number.  YAML 1.1 reads
+    `1e-09` (no dot, as JSON writes it) and `1.0e9` (unsigned exponent) as
+    strings; with this, only a quoted number is a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"))
 
 
 def read_config(path) -> dict:
@@ -66,7 +78,7 @@ def read_config(path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
@@ -111,6 +123,8 @@ def resolve(data: dict, fields: dict, command: str) -> dict:
                 try:
                     if isinstance(value, bool):  # float() and index() read it as 1 or 0
                         raise TypeError("a boolean is not a number")
+                    if isinstance(value, str):  # float() parses a quoted number
+                        raise TypeError("a string is not a number")
                     value = convert(value)
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(

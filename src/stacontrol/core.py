@@ -185,6 +185,17 @@ class CouplingSchedule:
             rate = np.where(g > 0, self.delta * tdd / (2.0 * np.where(g > 0, g, 1.0)), 0.0)
         return rate
 
+    @property
+    def max_coupling(self) -> float:
+        """An upper bound on |g1(t)| and |g2(t)| over all t: g0, the tqd peak
+        sqrt(delta * pi * nu / 8) (theta_dot peaks at pi nu / 8), or the
+        larger constant value."""
+        if self.kind == "vitanov":
+            return float(self.g0)
+        if self.kind == "tqd":
+            return float(np.sqrt(self.delta * np.pi * self.nu / 8.0))
+        return float(max(abs(v) for v in self.values))
+
     def with_delays(self, dt1: float, dt2: float) -> "CouplingSchedule":
         """Copy of this schedule with the per-pulse delays replaced."""
         return CouplingSchedule(kind=self.kind, g0=self.g0, nu=self.nu,

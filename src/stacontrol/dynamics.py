@@ -1,26 +1,35 @@
-"""Propagation in three pictures and observable extraction.
+"""Propagation in four pictures and observable extraction.
 
 1. Linear Heisenberg-amplitude evolution i dv/dt = M(t) v for a 3-vector of
    mode amplitudes, driven by any schedule of Hermitian 3x3 arrays M(t).
    Every closed run of the package uses it, the one-excitation Fock transfer
    included (there M carries the detunings on its diagonal).
-2. Truncated-Fock-space Schrodinger evolution under the beam-splitter
+2. The open system as a Gaussian channel.  Every dissipator is linear, so one
+   photon entering cavity 1 leaves in a state fixed by the amplitude column
+   v' = A v, A = -iM - K/2 with K = diag(kappa1, gamma_m, kappa2), and the
+   normally ordered noise N_ij = <a_i^dag a_j> of the vacuum,
+   N' = conj(A) N + N A^T + D with D = diag(0, gamma_m n_th, 0) (Wang & Clerk,
+   PRL 108, 153603, 2012).  Both are integrated with fixed fourth-order
+   Magnus steps (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151, 2009).
+3. Truncated-Fock-space Schrodinger evolution under the beam-splitter
    Hamiltonian H(t) = sum_i delta_i n_i + G_i(t)(a_i^dag b_m + h.c.), kept
    as an independent oracle for picture 1.
-3. Lindblad master-equation evolution with cavity decay (rates kappa_i) and
-   thermal mechanical damping (rate gamma_m, occupation n_th).  The density
-   matrix is integrated as row-major vec(rho) = rho.ravel(); the static
-   dissipator is one sparse superoperator on that vector, built before
-   integration.  Every probe (mode populations, trace, mechanical edge
-   population) is diagonal in the Fock basis and is read from diag(rho).
+4. Lindblad master-equation evolution with cavity decay (rates kappa_i) and
+   thermal mechanical damping (rate gamma_m, occupation n_th), kept as the
+   truncated oracle for picture 2.  The density matrix is integrated as
+   row-major vec(rho) = rho.ravel(); the static dissipator is one sparse
+   superoperator on that vector, built before integration.  Every probe
+   (mode populations, trace, mechanical edge population) is diagonal in the
+   Fock basis and is read from diag(rho).
 
-All propagators use adaptive high-order explicit Runge-Kutta integration
-(DOP853) with tight default tolerances so independent runs are deterministic
-and reproducible bit-for-bit.
+Pictures 1, 3 and 4 use adaptive explicit Runge-Kutta integration (DOP853)
+with tight default tolerances; picture 2 takes a fixed number of steps.  Every
+run is deterministic and reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,7 +37,7 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
-from .core import CouplingSchedule, SystemConfig, TimeGrid
+from .core import CouplingSchedule, Dissipation, SystemConfig, TimeGrid
 from .engine import counterdiabatic_matrix
 from .errors import InvalidParameterError, SolverError
 
@@ -39,6 +48,11 @@ RTOL_LINDBLAD = 1e-7
 ATOL_LINDBLAD = 1e-10
 
 MECH_EDGE_WARN_THRESHOLD = 1e-4
+
+# Gaussian channel: sub-steps h with h * (|delta| + 2 max G + max K / 2) <= 0.1
+# keep ||Omega|| <= ~0.1, where a Taylor series of order 12 is exact to rounding
+MAGNUS_MAX_PHASE = 0.1
+TAYLOR_ORDER = 12
 
 
 class TruncationWarning(UserWarning):
@@ -105,6 +119,137 @@ def propagate_tqd_amplitudes(schedule: CouplingSchedule, v0, grid: TimeGrid,
     """Propagate under the transitionless matrix M1(t) alone."""
     return propagate_amplitudes(lambda t: counterdiabatic_matrix(schedule, t),
                                 v0, grid, rtol=rtol, atol=atol)
+
+
+# -- (2) Gaussian channel ----------------------------------------------------
+
+def _mul(a, b):
+    """Products of stacked 3x3 matrices held as (3, 3, ...) arrays.  The stack
+    axes come last, so each entry is one contiguous vector operation."""
+    return (a[:, :, None] * b[None]).sum(axis=1)
+
+
+def _noise_map(omega, x):
+    """conj(Omega) X + X Omega^T for Hermitian X: that is P + P^dag with
+    P = conj(Omega) X, and it is Hermitian again."""
+    p = _mul(omega.conj(), x)
+    return p + np.swapaxes(p, 0, 1).conj()
+
+
+def _compose(later, earlier):
+    """The channel map `earlier` followed by `later`, each a stacked (E, Q)
+    pair acting as v -> E v, N -> conj(E) N E^T + Q."""
+    (e2, q2), (e1, q1) = later, earlier
+    return _mul(e2, e1), _mul(_mul(e2.conj(), q1), np.swapaxes(e2, 0, 1)) + q2
+
+
+def propagate_channel(schedule: CouplingSchedule, detuning: float,
+                      dissipation: Dissipation, grid: TimeGrid,
+                      substeps: int | None = None) -> Trajectory:
+    """One photon entering cavity 1 (vacuum elsewhere) through the open
+    system with M(t) = [[delta, g1, 0], [g1, 0, g2], [0, g2, delta]]: the
+    amplitude column v(t) and the noise N(t) of picture 2.
+
+    Each output interval takes `substeps` Magnus-4 steps, a power of two; by
+    default the smallest one with h * (|delta| + 2 max G + max K / 2) <= 0.1.
+    A step's exponent is Omega = h/2 (Aa + Ab) + (sqrt(3) h^2 / 12)[Ab, Aa]
+    from A at the two Gauss points.  On the noise the step is
+    N -> conj(E) N E^T + Q, with E = exp(Omega) and Q the phi_1 series of
+    X -> conj(Omega) X + X Omega^T applied to the step's forcing
+    h D + (sqrt(3) h^2 / 12)(conj(Ab - Aa) D + D (Ab - Aa)^T).  The steps are
+    composed pairwise into one map per output interval, and the interval
+    maps into one map from t_start to each grid time, applied to v = e1 and
+    N = 0.
+
+    `populations` are <n_i> = |v_i|^2 + N_ii and `final_state` is v at
+    t_end.  `meta` holds the final `noise` N, the hygiene of the whole run
+    (`hermiticity_drift` and `min_noise_eigenvalue` of N, `norm_growth`, the
+    largest increase of |v| over one interval), `steps`, `substeps` and
+    `solve_s`.
+    """
+    start = time.perf_counter()
+    rates = np.array([dissipation.kappa1, dissipation.gamma_m, dissipation.kappa2])
+    n = grid.n_points - 1
+    if substeps is None:
+        bound = abs(detuning) + 2.0 * schedule.max_coupling + 0.5 * rates.max()
+        substeps = 2 ** max(0, int(np.ceil(np.log2(grid.dt * bound / MAGNUS_MAX_PHASE))))
+    steps = n * substeps
+    h = grid.span / steps
+    starts = grid.t_start + h * np.arange(steps)
+    c = np.sqrt(3.0) / 6.0
+    g1, g2 = schedule.couplings(np.concatenate([starts + h * (0.5 - c),
+                                                starts + h * (0.5 + c)]))
+    a = np.zeros((3, 3, 2 * steps), dtype=complex)
+    a[[0, 1, 2], [0, 1, 2]] = (-1j * np.array([detuning, 0.0, detuning])
+                               - 0.5 * rates)[:, None]
+    a[0, 1] = a[1, 0] = -1j * g1
+    a[1, 2] = a[2, 1] = -1j * g2
+    a_a, a_b = a[..., :steps], a[..., steps:]
+    weight = np.sqrt(3.0) * h * h / 12.0
+    omega = 0.5 * h * (a_a + a_b) + weight * (_mul(a_b, a_a) - _mul(a_a, a_b))
+    drive = np.diag([0.0, dissipation.gamma_m * dissipation.n_th, 0.0])[:, :, None]
+    forcing = h * drive + weight * _noise_map(a_b - a_a, drive)
+
+    # E = exp(Omega) and Q = sum_k L^k(forcing) / (k + 1)!, both by Horner
+    eye = np.eye(3)[:, :, None]
+    e, q = eye, forcing
+    for k in range(TAYLOR_ORDER, 0, -1):
+        e = eye + _mul(omega, e) / k
+        q = forcing + _noise_map(omega, q) / (k + 1)
+
+    e = e.reshape(3, 3, n, substeps)
+    q = q.reshape(3, 3, n, substeps)
+    while e.shape[-1] > 1:  # step 2j, then step 2j + 1
+        e, q = _compose((e[..., 1::2], q[..., 1::2]), (e[..., 0::2], q[..., 0::2]))
+    e, q = e[..., 0], q[..., 0]
+    # maps from t_start by recursive doubling: after the pass with offset d,
+    # entry k maps the start of interval max(0, k - 2d + 1) to the end of k
+    offset = 1
+    while offset < n:
+        e[..., offset:], q[..., offset:] = _compose(
+            (e[..., offset:], q[..., offset:]), (e[..., :-offset], q[..., :-offset]))
+        offset *= 2
+
+    v = np.zeros((n + 1, 3), dtype=complex)
+    v[0, 0] = 1.0
+    v[1:] = e[:, 0].T
+    noise = np.zeros((n + 1, 3, 3), dtype=complex)
+    noise[1:] = np.moveaxis(q, -1, 0)
+
+    populations = np.abs(v) ** 2 + np.einsum("kii->ki", noise).real
+    norms = np.linalg.norm(v, axis=1)
+    noise_dagger = noise.conj().transpose(0, 2, 1)
+    meta = {
+        "noise": noise[-1].copy(),  # a view would keep the history alive
+        "hermiticity_drift": float(np.abs(noise - noise_dagger).max()),
+        "min_noise_eigenvalue": float(np.linalg.eigvalsh(
+            0.5 * (noise + noise_dagger)).min()),
+        "norm_growth": float(np.diff(norms).max()),
+        "steps": steps, "substeps": substeps,
+        "solve_s": time.perf_counter() - start, "picture": "gaussian",
+    }
+    return Trajectory(grid.times, populations, v[-1].copy(), meta)
+
+
+def channel_fidelity(v, noise) -> float:
+    """F = P(n1 = 0, n2 = 1) of the channel output for one input photon.
+
+    With Lambda = diag(1 - z1, 1 - z2) and C = conj(N) on the two cavities
+    (C_ij = <a_j^dag a_i>), the output's generating function is
+    E[z1^n1 z2^n2] = (1 - u^dag R u) / det(I + C Lambda),
+    R = (Lambda^-1 + C)^-1, where u = (v_1, v_2) are the cavity amplitudes:
+    the vacuum's Gaussian noise times the single-photon factor.  F is its
+    z2-derivative at z = 0, where R = (I + C)^-1, R C = I - R and
+    d/dz2 R = -R E22 R, so
+    F = [|(R u)_2|^2 + (1 - u^dag R u)(1 - R_22)] / det(I + C).
+    """
+    u = np.asarray(v)[[0, 2]]
+    cav = np.eye(2) + np.asarray(noise)[np.ix_([0, 2], [0, 2])].conj()
+    r = np.linalg.inv(cav)
+    ru = r @ u
+    vacuum_part = 1.0 - (u.conj() @ ru).real
+    return float((abs(ru[1]) ** 2 + vacuum_part * (1.0 - r[1, 1].real))
+                 / np.linalg.det(cav).real)
 
 
 # -- Fock-space operator helpers --------------------------------------------
@@ -203,7 +348,7 @@ def build_h3(schedule: CouplingSchedule, delta1: float, delta2: float, dims):
     return h_fn
 
 
-# -- (2) Schrodinger picture ------------------------------------------------
+# -- (3) Schrodinger picture ------------------------------------------------
 
 def evolve_schrodinger(h_fn, psi0, dims, grid: TimeGrid, rtol: float = RTOL_UNITARY,
                        atol: float = ATOL_UNITARY) -> Trajectory:
@@ -227,7 +372,7 @@ def evolve_schrodinger(h_fn, psi0, dims, grid: TimeGrid, rtol: float = RTOL_UNIT
     return Trajectory(sol.t, populations, states[-1].copy(), meta)
 
 
-# -- (3) Lindblad master equation -------------------------------------------
+# -- (4) Lindblad master equation -------------------------------------------
 
 def _dissipator(config: SystemConfig) -> sparse.csr_matrix:
     """The static dissipator as one sparse superoperator on row-major vec(rho).

@@ -131,7 +131,7 @@ def tqd_max_coupling(nu: float, delta: float) -> float:
     """Peak of the synthesized pulses: sqrt(delta * pi * nu / 8)."""
     if not (nu > 0 and delta > 0):
         raise InvalidParameterError("nu and delta must be positive")
-    return float(np.sqrt(delta * np.pi * nu / 8.0))
+    return synthesize_tqd_pulses(nu, delta).max_coupling
 
 
 def tqd_detuning_ratio(nu: float, delta: float) -> float:

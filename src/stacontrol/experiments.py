@@ -7,14 +7,16 @@
 * detuning scan -- max phonon number vs detuning delta at fixed nu.
 * delay scan   -- robustness of the transfer against shifting one pulse in time.
 * decay scan   -- open-system fidelity vs cavity decay kappa for the adiabatic
-                  and transitionless protocols.
+                  and transitionless protocols, on the exact Gaussian channel.
 
-Runs are deterministic: fixed integrator, fixed tolerances, no randomness.
-Each scan is one settings record: the run keywords its rows share, the swept
-axis, the metric and the rtol.  Every row runs from that record plus its axis
-value through `converged_run`: the point is run at the relative tolerance and
-at half of it, and the row carries the metric change as its convergence delta
-plus the full-tolerance trajectory.  Scan points may be distributed over a
+Runs are deterministic: fixed integrators, fixed tolerances and step rules,
+no randomness.  Each scan is one settings record: the run keywords its rows
+share, the swept axis, the metric and, for the closed metrics, the rtol.
+Every row runs from that record plus its axis value through `converged_run`,
+which runs the point twice and carries the metric change as the row's
+convergence delta, plus the first run's trajectory: a closed point at the
+relative tolerance and at half of it, an open point at the step rule's
+Magnus sub-steps and at twice as many.  Scan points may be distributed over a
 process pool; result assembly is order-preserving.
 """
 
@@ -25,20 +27,17 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import CouplingSchedule, Dissipation, SystemConfig, TimeGrid
+from .core import CouplingSchedule, Dissipation, TimeGrid
 from .dynamics import (
-    RTOL_LINDBLAD,
     RTOL_UNITARY,
     Trajectory,
-    build_h3,
-    density_from_pure,
-    evolve_lindblad,
-    evolve_schrodinger,  # not called here; bench/tracer.py wraps it  # noqa: F401
-    fidelity,
-    fock_state,
+    channel_fidelity,
     propagate_amplitudes,
+    propagate_channel,
     propagate_tqd_amplitudes,
 )
+# not called here; bench/tracer.py wraps these names
+from .dynamics import build_h3, evolve_lindblad, evolve_schrodinger  # noqa: F401
 from .engine import build_adiabatic_matrix, synthesize_tqd_pulses, tqd_detuning_ratio
 from .errors import InvalidParameterError
 
@@ -189,24 +188,25 @@ def run_fig4_transfer(delta: float = 40.0, nu: float = 2.0,
 
 # -- scan rows --------------------------------------------------------------
 
-def _run_metric(metric: str, rtol: float, run_args: dict):
+def converged_run(metric: str, **run_args):
+    """One point run twice: the convergence policy of every scan row.
+
+    "fidelity-F" runs `decay_run` with `run_args` at the step rule's
+    sub-steps and at twice as many; "final-p2" and "max-phonon" run
+    `run_fig4_transfer` with `run_args` at their `rtol` and at half of it.
+    Returns the first run's own result (decay_run's (trajectory, F) pair, or
+    a TransferResult), its trajectory, its metric and the metric's change
+    (the convergence delta)."""
     if metric == "fidelity-F":
-        res = decay_run(**run_args, rtol=rtol)
-        return res, res[0], res[1]
+        traj, value = res = decay_run(**run_args)
+        _, finer = decay_run(**run_args, substeps=2 * traj.meta["substeps"])
+        return res, traj, value, abs(value - finer)
+    rtol = run_args.pop("rtol")
     res = run_fig4_transfer(**run_args, rtol=rtol)
-    return res, res.trajectory, res.max_phonon if metric == "max-phonon" else res.final_p2
-
-
-def converged_run(metric: str, rtol: float, **run_args):
-    """One point at `rtol` and at half of it: the convergence policy of every
-    scan row.  `metric` is "fidelity-F", which runs `decay_run`, or
-    "final-p2" or "max-phonon", which run `run_fig4_transfer`, with
-    `run_args`.  Returns the `rtol` run's own result (a TransferResult, or
-    decay_run's (trajectory, F) pair), its trajectory, its metric and the
-    metric's change (the convergence delta)."""
-    res, traj, value = _run_metric(metric, rtol, run_args)
-    _, _, value_half = _run_metric(metric, rtol / 2, run_args)
-    return res, traj, value, abs(value - value_half)
+    half = run_fig4_transfer(**run_args, rtol=rtol / 2)
+    attr = "max_phonon" if metric == "max-phonon" else "final_p2"
+    value = getattr(res, attr)
+    return res, res.trajectory, value, abs(value - getattr(half, attr))
 
 
 def _scan_row(item):
@@ -227,7 +227,8 @@ def _scan(values, settings: dict, workers: int) -> ScanResult:
 
     `settings` names the `metric` and the swept `axis` ("delta_t" shifts the
     named `pulse`; any other axis is a run keyword), and holds every other
-    keyword of the run, `rtol` included, with a grid as its field mapping.
+    keyword of the run (a closed scan's `rtol` included), with a grid as its
+    field mapping.
     """
     values = tuple(float(v) for v in values)
     if not values:
@@ -310,35 +311,29 @@ def _check_protocol(protocol) -> None:
             f"protocol must be 'adiabatic' or 'tqd', got {protocol!r}")
 
 
-def decay_run(kappa, protocol, nu, delta=40.0, dims=(2, 6, 2), gamma_m=5e-4,
-              n_th=100.0, n_points=801, rtol=RTOL_LINDBLAD):
-    """One open-system protocol run; returns (trajectory, fidelity F)."""
+def decay_run(kappa, protocol, nu, delta=40.0, gamma_m=5e-4, n_th=100.0,
+              n_points=801, substeps=None):
+    """One open-system protocol run from one photon in cavity 1, on the
+    Gaussian channel (`propagate_channel`, which picks `substeps` when it is
+    None); returns (trajectory, fidelity F)."""
     _check_protocol(protocol)
     if protocol == "tqd":
-        schedule = synthesize_tqd_pulses(nu, delta)
-        h_fn = build_h3(schedule, delta, delta, dims)
+        schedule, detuning = synthesize_tqd_pulses(nu, delta), delta
     else:
-        schedule = CouplingSchedule.vitanov(g0=1.0, nu=nu)
-        h_fn = build_h3(schedule, 0.0, 0.0, dims)
-    grid = TimeGrid(0.0, 10.0 / nu, n_points)
-    config = SystemConfig(
-        schedule=schedule,
-        dissipation=Dissipation(kappa1=kappa, kappa2=kappa,
-                                gamma_m=gamma_m, n_th=n_th),
-        fock_dims=tuple(dims),
-    )
-    rho0 = density_from_pure(fock_state(dims, (1, 0, 0)))
-    traj = evolve_lindblad(h_fn, config, rho0, grid, rtol=rtol)
-    return traj, fidelity(traj.final_state, dims)
+        schedule, detuning = CouplingSchedule.vitanov(g0=1.0, nu=nu), 0.0
+    traj = propagate_channel(
+        schedule, detuning,
+        Dissipation(kappa1=kappa, kappa2=kappa, gamma_m=gamma_m, n_th=n_th),
+        TimeGrid(0.0, 10.0 / nu, n_points), substeps)
+    return traj, channel_fidelity(traj.final_state, traj.meta["noise"])
 
 
 def run_decay_scan(kappas=DEFAULT_KAPPA_GRID, protocol: str = "tqd",
                    nu: float | None = None, delta: float = 40.0,
-                   dims=(2, 6, 2), gamma_m: float = 5e-4, n_th: float = 100.0,
-                   n_points: int = 801, rtol: float = RTOL_LINDBLAD,
-                   workers: int = 1) -> ScanResult:
-    """Lindblad fidelity F at the end of the protocol for each cavity decay
-    kappa (kappa1 = kappa2 = kappa), with thermal mechanical damping.
+                   dims=None, gamma_m: float = 5e-4, n_th: float = 100.0,
+                   n_points: int = 801, workers: int = 1) -> ScanResult:
+    """Fidelity F at the end of the protocol for each cavity decay kappa
+    (kappa1 = kappa2 = kappa), with thermal mechanical damping.
 
     The adiabatic arm uses Vitanov couplings at nu = 0.5 by default; the
     transitionless arm uses synthesized pulses at nu = 2, delta = 40.
@@ -346,7 +341,7 @@ def run_decay_scan(kappas=DEFAULT_KAPPA_GRID, protocol: str = "tqd",
     _check_protocol(protocol)
     if nu is None:
         nu = 0.5 if protocol == "adiabatic" else 2.0
+    # `dims` is ignored: the run needs no truncation; bench/workloads.py passes it
     return _scan(kappas, {"metric": "fidelity-F", "axis": "kappa", "protocol": protocol,
-                          "nu": nu, "delta": delta, "dims": tuple(dims),
-                          "n_points": n_points, "gamma_m": gamma_m, "n_th": n_th,
-                          "rtol": rtol}, workers)
+                          "nu": nu, "delta": delta, "n_points": n_points,
+                          "gamma_m": gamma_m, "n_th": n_th}, workers)

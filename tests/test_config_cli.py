@@ -252,7 +252,6 @@ class TestSaveTrajectories:
             p_m = [float(r[2]) for r in traj]
             assert traj[int(np.argmax(p_m))][2] == max_phonon
 
-    @pytest.mark.filterwarnings("ignore::stacontrol.dynamics.TruncationWarning")
     def test_scan_decay_both_protocols(self, tmp_path):
         out = tmp_path / "out"
         assert main(["scan-decay", "--protocol", "both", "--values", "0.01",
@@ -291,17 +290,16 @@ SUBCOMMANDS = {
     "scan-delay": (["--values", "0.1"], {"schedule.nu", "schedule.delta",
                                          "solver.rtol_unitary"}),
     "scan-decay": (["--values", "0.01", "--protocol", "tqd"],
-                   {"dissipation.gamma_m", "dissipation.n_th", "solver.rtol_lindblad"}),
+                   {"dissipation.gamma_m", "dissipation.n_th"}),
 }
 
 
-def test_nine_settable_fields():
+def test_eight_settable_fields():
     accepted = set().union(*(fields for _, fields in SUBCOMMANDS.values()))
     assert accepted == {f"{s}.{k}" for s, fields in FIELDS.items() for k in fields}
-    assert len(accepted) == 9 and accepted < set(OLD_FIELDS)
+    assert len(accepted) == 8 and accepted < set(OLD_FIELDS)
 
 
-@pytest.mark.filterwarnings("ignore::stacontrol.dynamics.TruncationWarning")
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_every_field_reaches_the_run_or_exits_1(tmp_path, capsys, command):
     """A config holding one field changes the CSVs if the run reads that
@@ -334,19 +332,17 @@ def test_every_field_reaches_the_run_or_exits_1(tmp_path, capsys, command):
             assert not out.exists(), field
 
 
-@pytest.mark.filterwarnings("ignore::stacontrol.dynamics.TruncationWarning")
 def test_scan_decay_manifest_records_the_run(tmp_path):
     out = tmp_path / "out"
     assert main(["scan-decay", "--values", "0.01", "--protocol", "tqd",
                  "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["resolved_config"] == {
-        "dissipation": {"gamma_m": 5e-4, "n_th": 100.0},
-        "solver": {"rtol_lindblad": 1e-7}}
+        "dissipation": {"gamma_m": 5e-4, "n_th": 100.0}}
     tqd = manifest["settings"]["tqd"]
-    assert tqd["nu"] == 2.0 and tqd["dims"] == [2, 6, 2]
+    assert tqd["nu"] == 2.0 and "dims" not in tqd and "rtol" not in tqd
     assert tqd["protocol"] == "tqd" and tqd["axis"] == "kappa"
-    assert tqd["rtol"] == 1e-7 and tqd["n_points"] == 801
+    assert tqd["n_points"] == 801
     assert list(manifest["settings"]) == ["tqd"]
 
 
@@ -367,7 +363,6 @@ def test_scan_manifest_records_the_run(tmp_path, command, argv, grid, record):
     assert settings.items() >= record.items()
 
 
-@pytest.mark.filterwarnings("ignore::stacontrol.dynamics.TruncationWarning")
 @pytest.mark.parametrize("command, values, argv", [
     ("scan-detuning", ["80", "40"], []),
     ("scan-decay", ["0.05", "0.01"], ["--protocol", "tqd"]),
@@ -417,6 +412,7 @@ def test_values_and_range_exclude_each_other(tmp_path, capsys, command, values_f
     ("scan-detuning", "schedule:\n  nu: 0\n", "schedule.nu"),
     ("derive-pulse", "schedule:\n  nu: true\n", "schedule.nu"),
     ("fig2-suite", "solver:\n  rtol_unitary: true\n", "solver.rtol_unitary"),
+    ("derive-pulse", 'schedule:\n  nu: "2"\n', "schedule.nu"),
 ])
 def test_malformed_value_is_1(tmp_path, capsys, command, text, field):
     path = write_config(tmp_path, text)

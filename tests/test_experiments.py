@@ -194,7 +194,6 @@ class TestDecayScan:
         with pytest.raises(InvalidParameterError):
             decay_run(0.0, "mystery", 2.0)
 
-    @pytest.mark.filterwarnings("ignore::stacontrol.dynamics.TruncationWarning")
     def test_tqd_beats_adiabatic(self):
         kappas = [0.0, 0.05]
         tqd = run_decay_scan(kappas, "tqd", n_points=201)
