@@ -155,11 +155,9 @@ def cmd_derive_pulse(args) -> int:
 def cmd_transfer(args) -> int:
     cfg = _merge_config(args, {
         "schedule": {"nu": args.nu, "delta": args.delta},
-        "grid": {"t_start": None, "t_end": None, "n_points": None},
-        "solver": {"rtol_unitary": None}})
+        "grid": {"t_start": None, "t_end": None, "n_points": None}})
     res, _, _, conv = converged_run(
-        "final-p2", rtol=cfg["solver"]["rtol_unitary"], **cfg["schedule"],
-        grid=TimeGrid(**cfg["grid"]))
+        "final-p2", **cfg["schedule"], grid=TimeGrid(**cfg["grid"]))
     outdir = _outdir(args)
     _write_trajectory(outdir / "trajectory.csv", res.trajectory)
     print(f"transfer: final p2 = {res.final_p2:.6f}, "
@@ -169,14 +167,16 @@ def cmd_transfer(args) -> int:
         failures.append(f"final p2 = {res.final_p2:.6f} < 0.99")
     extra = {"final_p2": res.final_p2, "max_phonon": res.max_phonon,
              "detuning_ratio": res.detuning_ratio, "convergence_delta": conv,
-             "norm_drift": res.trajectory.meta["norm_drift"]}
+             "norm_drift": res.trajectory.meta["norm_drift"],
+             "steps": res.trajectory.meta["steps"],
+             "substeps": res.trajectory.meta["substeps"]}
     return _finish(outdir, "transfer", args, cfg, extra, failures)
 
 
 def cmd_fig2_suite(args) -> int:
-    cfg = _merge_config(args, {"solver": {"rtol_unitary": None}})
+    cfg = _merge_config(args, {})
     nus = args.nu or [0.5, 1.0, 2.0]
-    suite = run_fig2_suite(nus, rtol=cfg["solver"]["rtol_unitary"])
+    suite = run_fig2_suite(nus)
     outdir = _outdir(args)
     failures = []
     finals = {}
@@ -207,12 +207,10 @@ def cmd_fig2_suite(args) -> int:
 
 
 def cmd_scan_detuning(args) -> int:
-    cfg = _merge_config(args, {"schedule": {"nu": args.nu},
-                               "solver": {"rtol_unitary": None}})
+    cfg = _merge_config(args, {"schedule": {"nu": args.nu}})
     deltas = args.values or args.range or [20.0, 28.0, 40.0, 57.0, 80.0, 113.0,
                                            160.0, 200.0]
-    result = run_detuning_scan(deltas, cfg["schedule"]["nu"],
-                               rtol=cfg["solver"]["rtol_unitary"], workers=args.workers)
+    result = run_detuning_scan(deltas, cfg["schedule"]["nu"], workers=args.workers)
     outdir = _outdir(args)
     _write_csv(outdir / "scan_detuning.csv",
                ["delta", "max_phonon", "convergence_delta", "detuning_ratio"],
@@ -231,10 +229,9 @@ def cmd_scan_detuning(args) -> int:
 
 
 def cmd_scan_delay(args) -> int:
-    cfg = _merge_config(args, {"schedule": {"nu": args.nu, "delta": args.delta},
-                               "solver": {"rtol_unitary": None}})
+    cfg = _merge_config(args, {"schedule": {"nu": args.nu, "delta": args.delta}})
     result = run_delay_scan(args.values or args.range, args.pulse, **cfg["schedule"],
-                            rtol=cfg["solver"]["rtol_unitary"], workers=args.workers)
+                            workers=args.workers)
     outdir = _outdir(args)
     _write_csv(outdir / "scan_delay.csv",
                ["delta_t", "final_p2", "convergence_delta"], result.rows)

@@ -1,6 +1,6 @@
 """Per-subcommand configuration and run manifests.
 
-A config is a YAML mapping of sections to fields.  Eight fields exist in all
+A config is a YAML mapping of sections to fields.  Seven fields exist in all
 (`FIELDS`), and each subcommand accepts only those its run reads: a config
 naming any other section or field is a ConfigError.  Each value comes from
 the subcommand's flag if one was given, else from the file, else from its
@@ -22,7 +22,6 @@ import yaml
 
 from . import __version__
 from .core import DEFAULT_N_POINTS, TimeGrid
-from .dynamics import RTOL_UNITARY
 from .errors import ConfigError
 
 
@@ -53,7 +52,6 @@ FIELDS = {
     "grid": {"t_start": (0.0, _real), "t_end": (None, _real),
              "n_points": (DEFAULT_N_POINTS, operator.index)},
     "dissipation": {"gamma_m": (5e-4, _nonnegative), "n_th": (100.0, _nonnegative)},
-    "solver": {"rtol_unitary": (RTOL_UNITARY, _positive)},
 }
 
 
@@ -90,6 +88,13 @@ def read_config(path) -> dict:
     return data
 
 
+def _paths(section, given) -> list[str]:
+    """`section.field` for each field of a config section, else its name."""
+    if isinstance(given, dict) and given:
+        return [f"{section}.{key}" for key in given]
+    return [str(section)]
+
+
 def resolve(data: dict, fields: dict, command: str) -> dict:
     """The settings a run of `command` uses.
 
@@ -99,10 +104,11 @@ def resolve(data: dict, fields: dict, command: str) -> dict:
     to 10/nu, the end of the Vitanov window.  A section or field of `data`
     outside `fields`, or a value of the wrong type or range, raises ConfigError.
     """
-    unread = sorted(map(str, set(data) - set(fields)))
+    unread = sorted(path for section, given in data.items() if section not in fields
+                    for path in _paths(section, given))
     if unread:
-        raise ConfigError(f"{command} reads no section(s) {unread}; "
-                          f"it reads {sorted(fields)}")
+        raise ConfigError(f"{command} reads no {unread}; "
+                          f"it reads the section(s) {sorted(fields)}")
     out = {}
     for section, flags in fields.items():
         given = {} if data.get(section) is None else data[section]

@@ -9,8 +9,7 @@
    v' = A v, A = -iM - K/2 with K = diag(kappa1, gamma_m, kappa2), and the
    normally ordered noise N_ij = <a_i^dag a_j> of the vacuum,
    N' = conj(A) N + N A^T + D with D = diag(0, gamma_m n_th, 0) (Wang & Clerk,
-   PRL 108, 153603, 2012).  Both are integrated with fixed fourth-order
-   Magnus steps (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151, 2009).
+   PRL 108, 153603, 2012).
 3. Truncated-Fock-space Schrodinger evolution under the beam-splitter
    Hamiltonian H(t) = sum_i delta_i n_i + G_i(t)(a_i^dag b_m + h.c.), kept
    as an independent oracle for picture 1.
@@ -22,9 +21,12 @@
    (mode populations, trace, mechanical edge population) is diagonal in the
    Fock basis and is read from diag(rho).
 
-Pictures 1, 3 and 4 use adaptive explicit Runge-Kutta integration (DOP853)
-with tight default tolerances; picture 2 takes a fixed number of steps.  Every
-run is deterministic and reproducible bit-for-bit.
+Pictures 1 and 2 share one stepper, `_magnus`: a fixed number of
+fourth-order Magnus steps per output interval (Blanes, Casas, Oteo & Ros,
+Phys. Rep. 470, 151, 2009), built at most `CHUNK_STEPS` steps at a time, so
+memory stays bounded at any step count.  Only the two oracles, pictures 3
+and 4, use adaptive explicit Runge-Kutta integration (DOP853) with tight
+default tolerances.  Every run is deterministic and reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .core import CouplingSchedule, Dissipation, SystemConfig, TimeGrid
 from .engine import counterdiabatic_matrix
 from .errors import InvalidParameterError, SolverError
 
-# defaults documented for cross-implementation reproducibility
+# tolerances of the DOP853 oracles (pictures 3 and 4)
 RTOL_UNITARY = 1e-9
 ATOL_UNITARY = 1e-12
 RTOL_LINDBLAD = 1e-7
@@ -49,10 +51,15 @@ ATOL_LINDBLAD = 1e-10
 
 MECH_EDGE_WARN_THRESHOLD = 1e-4
 
-# Gaussian channel: sub-steps h with h * (|delta| + 2 max G + max K / 2) <= 0.1
+# Magnus steps: sub-steps h with h * bound <= 0.1, for a bound on ||A(t)||,
 # keep ||Omega|| <= ~0.1, where a Taylor series of order 12 is exact to rounding
 MAGNUS_MAX_PHASE = 0.1
 TAYLOR_ORDER = 12
+# memory bounds: the one-step maps of at most CHUNK_STEPS steps are held at
+# once, and built STEP_BLOCK at a time; a run takes at most MAX_STEPS steps
+CHUNK_STEPS = 8192
+STEP_BLOCK = 1024
+MAX_STEPS = 2 ** 26
 
 
 class TruncationWarning(UserWarning):
@@ -87,46 +94,15 @@ def _integrate(rhs, y0, grid: TimeGrid, rtol, atol):
     return sol
 
 
-# -- (1) Heisenberg-amplitude picture ---------------------------------------
-
-def propagate_amplitudes(matrix_fn, v0, grid: TimeGrid, rtol: float = RTOL_UNITARY,
-                         atol: float = ATOL_UNITARY) -> Trajectory:
-    """Integrate i dv/dt = M(t) v and report populations |v_i(t)|^2.
-
-    `matrix_fn(t)` returns M(t) as a 3x3 array.
-    """
-    v0 = np.asarray(v0, dtype=complex)
-    if v0.shape != (3,):
-        raise InvalidParameterError(f"v0 must be a 3-vector, got shape {v0.shape}")
-
-    def rhs(t, v):
-        return -1j * (matrix_fn(t) @ v)
-
-    sol = _integrate(rhs, v0, grid, rtol, atol)
-    states = sol.y.T
-    populations = np.abs(states) ** 2
-    norms = np.sqrt(populations.sum(axis=1))
-    meta = {
-        "norm_drift": float(np.max(np.abs(norms - norms[0]))),
-        "rtol": rtol, "atol": atol, "picture": "amplitude",
-    }
-    return Trajectory(sol.t, populations, states[-1], meta)
-
-
-def propagate_tqd_amplitudes(schedule: CouplingSchedule, v0, grid: TimeGrid,
-                             rtol: float = RTOL_UNITARY,
-                             atol: float = ATOL_UNITARY) -> Trajectory:
-    """Propagate under the transitionless matrix M1(t) alone."""
-    return propagate_amplitudes(lambda t: counterdiabatic_matrix(schedule, t),
-                                v0, grid, rtol=rtol, atol=atol)
-
-
-# -- (2) Gaussian channel ----------------------------------------------------
+# -- the Magnus stepper (pictures 1 and 2) -----------------------------------
 
 def _mul(a, b):
     """Products of stacked 3x3 matrices held as (3, 3, ...) arrays.  The stack
     axes come last, so each entry is one contiguous vector operation."""
-    return (a[:, :, None] * b[None]).sum(axis=1)
+    out = a[:, 0, None] * b[None, 0]
+    out += a[:, 1, None] * b[None, 1]
+    out += a[:, 2, None] * b[None, 2]
+    return out
 
 
 def _noise_map(omega, x):
@@ -136,12 +112,175 @@ def _noise_map(omega, x):
     return p + np.swapaxes(p, 0, 1).conj()
 
 
+def _part(maps, key):
+    """The stacked maps `maps` = (E, Q) at index `key`; Q may be None."""
+    e, q = maps
+    return e[key], None if q is None else q[key]
+
+
 def _compose(later, earlier):
     """The channel map `earlier` followed by `later`, each a stacked (E, Q)
-    pair acting as v -> E v, N -> conj(E) N E^T + Q."""
+    pair acting as v -> E v, N -> conj(E) N E^T + Q (Q None: no noise)."""
     (e2, q2), (e1, q1) = later, earlier
+    if q1 is None:
+        return _mul(e2, e1), None
     return _mul(e2, e1), _mul(_mul(e2.conj(), q1), np.swapaxes(e2, 0, 1)) + q2
 
+
+def _step_maps(generator, drive, t_start, h, first, count):
+    """The (E, Q) maps of steps first .. first + count - 1, each of length h.
+
+    A step's exponent is Omega = h/2 (Aa + Ab) + (sqrt(3) h^2 / 12)[Ab, Aa]
+    from A at the two Gauss points, and E = exp(Omega).  With a drive D,
+    Q is the phi_1 series of X -> conj(Omega) X + X Omega^T applied to the
+    step's forcing h D + (sqrt(3) h^2 / 12)(conj(Ab - Aa) D + D (Ab - Aa)^T);
+    without one, Q is None.  Every operation is elementwise over the steps,
+    so they are built `STEP_BLOCK` at a time, which bounds the temporaries.
+    """
+    e = np.empty((3, 3, count), dtype=complex)
+    q = None if drive is None else np.empty((3, 3, count), dtype=complex)
+    c = np.sqrt(3.0) / 6.0
+    weight = np.sqrt(3.0) * h * h / 12.0
+    eye = np.eye(3)[:, :, None]
+    for b0 in range(0, count, STEP_BLOCK):
+        size = min(STEP_BLOCK, count - b0)
+        starts = t_start + h * np.arange(first + b0, first + b0 + size)
+        a = generator(np.concatenate([starts + h * (0.5 - c), starts + h * (0.5 + c)]))
+        a_a, a_b = a[..., :size], a[..., size:]
+        omega = 0.5 * h * (a_a + a_b) + weight * (_mul(a_b, a_a) - _mul(a_a, a_b))
+
+        # E = exp(Omega) and Q = sum_k L^k(forcing) / (k + 1)!, both by Horner
+        block = eye
+        for k in range(TAYLOR_ORDER, 0, -1):
+            block = eye + _mul(omega, block) / k
+        e[..., b0:b0 + size] = block
+        if drive is not None:
+            forcing = h * drive + weight * _noise_map(a_b - a_a, drive)
+            block = forcing
+            for k in range(TAYLOR_ORDER, 0, -1):
+                block = forcing + _noise_map(omega, block) / (k + 1)
+            q[..., b0:b0 + size] = block
+    return e, q
+
+
+def _magnus(generator, bound: float, grid: TimeGrid, drive=None,
+            substeps: int | None = None):
+    """The maps from t_start to each later grid time of v' = A(t) v and, with
+    a drive D (a 3x3 array), N' = conj(A) N + N A^T + D.
+
+    `generator(times)` returns A at an array of T times as a (3, 3, T)
+    array; it is called once per block of steps, on both Gauss points of
+    the block's steps.  Each output interval takes `substeps` Magnus steps, a power of
+    two; by default the smallest one with h * bound <= MAGNUS_MAX_PHASE,
+    where `bound` >= ||A(t)||.  A run of more than MAX_STEPS steps raises
+    InvalidParameterError.
+
+    The steps are built `CHUNK_STEPS` at a time.  Within a chunk, they are
+    composed pairwise into one map per output interval, and the interval
+    maps by recursive doubling into maps from the chunk's start; the map
+    carried from t_start to the chunk's start then completes them.
+
+    Returns the stacked maps (E, Q), each (3, 3, n) for the n output
+    intervals (Q None without a drive), and the sub-steps per interval.
+    """
+    n = grid.n_points - 1
+    if substeps is None:
+        ratio = grid.dt * bound / MAGNUS_MAX_PHASE
+        if not ratio <= MAX_STEPS:  # NaN as well
+            raise InvalidParameterError(
+                f"the step rule asks for {ratio:.3g} Magnus steps per output "
+                f"interval; a run takes at most {MAX_STEPS}")
+        substeps = 2 ** max(0, int(np.ceil(np.log2(ratio)))) if ratio > 1 else 1
+    elif substeps < 1 or substeps & (substeps - 1):
+        raise InvalidParameterError(f"substeps must be a power of two, got {substeps}")
+    steps = n * substeps
+    if steps > MAX_STEPS:
+        raise InvalidParameterError(
+            f"{steps} Magnus steps ({n} intervals x {substeps} sub-steps) "
+            f"exceed the cap of {MAX_STEPS} per run")
+    h = grid.span / steps
+    per_chunk = max(1, CHUNK_STEPS // substeps)  # whole intervals per chunk
+    pieces = max(1, substeps // CHUNK_STEPS)     # chunks per interval
+    e_out = np.empty((3, 3, n), dtype=complex)
+    q_out = None if drive is None else np.empty((3, 3, n), dtype=complex)
+    carry = None
+    for k0 in range(0, n, per_chunk):
+        k1 = min(n, k0 + per_chunk)
+        count = (k1 - k0) * substeps // pieces
+        maps = None
+        for piece in range(pieces):
+            e, q = _step_maps(generator, drive, grid.t_start, h,
+                              k0 * substeps + piece * count, count)
+            step = (e.reshape(3, 3, k1 - k0, -1),
+                    None if q is None else q.reshape(3, 3, k1 - k0, -1))
+            while step[0].shape[-1] > 1:  # step 2j, then step 2j + 1
+                step = _compose(_part(step, np.s_[..., 1::2]),
+                                _part(step, np.s_[..., 0::2]))
+            step = _part(step, np.s_[..., 0])
+            maps = step if maps is None else _compose(step, maps)
+        # maps from the chunk's start by recursive doubling: after the pass
+        # with offset d, entry k maps the start of interval max(0, k - 2d + 1)
+        # to the end of k
+        e, q = maps
+        offset = 1
+        while offset < k1 - k0:
+            e_new, q_new = _compose(_part(maps, np.s_[..., offset:]),
+                                    _part(maps, np.s_[..., :-offset]))
+            e[..., offset:] = e_new
+            if q is not None:
+                q[..., offset:] = q_new
+            offset *= 2
+        if carry is not None:
+            e, q = maps = _compose(maps, carry)
+        e_out[..., k0:k1] = e
+        if q is not None:
+            q_out[..., k0:k1] = q
+        carry = _part(maps, np.s_[..., -1:])
+    return e_out, q_out, substeps
+
+
+def _solve_meta(start, n, substeps, picture):
+    return {"steps": n * substeps, "substeps": substeps,
+            "solve_s": time.perf_counter() - start, "picture": picture}
+
+
+# -- (1) Heisenberg-amplitude picture ---------------------------------------
+
+def propagate_amplitudes(matrix_fn, v0, grid: TimeGrid, bound: float | None = None,
+                         substeps: int | None = None) -> Trajectory:
+    """Integrate i dv/dt = M(t) v and report populations |v_i(t)|^2.
+
+    `matrix_fn(times)` returns M at an array of T times as a (3, 3, T)
+    array.  `bound` is an upper bound on ||M(t)|| for the step rule (see
+    `_magnus`); by default the largest absolute row sum of M on the output
+    grid.  `meta` holds `norm_drift`, `steps`, `substeps` and `solve_s`.
+    """
+    start = time.perf_counter()
+    v0 = np.asarray(v0, dtype=complex)
+    if v0.shape != (3,):
+        raise InvalidParameterError(f"v0 must be a 3-vector, got shape {v0.shape}")
+    if bound is None:
+        bound = float(np.abs(matrix_fn(grid.times)).sum(axis=1).max())
+    e, _, substeps = _magnus(lambda t: -1j * matrix_fn(t), bound, grid,
+                             substeps=substeps)
+    states = np.empty((grid.n_points, 3), dtype=complex)
+    states[0] = v0
+    states[1:] = np.einsum("ijk,j->ki", e, v0)
+    populations = np.abs(states) ** 2
+    norms = np.sqrt(populations.sum(axis=1))
+    meta = {"norm_drift": float(np.max(np.abs(norms - norms[0])))}
+    meta.update(_solve_meta(start, grid.n_points - 1, substeps, "amplitude"))
+    return Trajectory(grid.times, populations, states[-1].copy(), meta)
+
+
+def propagate_tqd_amplitudes(schedule: CouplingSchedule, v0,
+                             grid: TimeGrid) -> Trajectory:
+    """Propagate under the transitionless matrix M1(t) alone."""
+    return propagate_amplitudes(lambda t: counterdiabatic_matrix(schedule, t),
+                                v0, grid)
+
+
+# -- (2) Gaussian channel ----------------------------------------------------
 
 def propagate_channel(schedule: CouplingSchedule, detuning: float,
                       dissipation: Dissipation, grid: TimeGrid,
@@ -150,16 +289,9 @@ def propagate_channel(schedule: CouplingSchedule, detuning: float,
     system with M(t) = [[delta, g1, 0], [g1, 0, g2], [0, g2, delta]]: the
     amplitude column v(t) and the noise N(t) of picture 2.
 
-    Each output interval takes `substeps` Magnus-4 steps, a power of two; by
-    default the smallest one with h * (|delta| + 2 max G + max K / 2) <= 0.1.
-    A step's exponent is Omega = h/2 (Aa + Ab) + (sqrt(3) h^2 / 12)[Ab, Aa]
-    from A at the two Gauss points.  On the noise the step is
-    N -> conj(E) N E^T + Q, with E = exp(Omega) and Q the phi_1 series of
-    X -> conj(Omega) X + X Omega^T applied to the step's forcing
-    h D + (sqrt(3) h^2 / 12)(conj(Ab - Aa) D + D (Ab - Aa)^T).  The steps are
-    composed pairwise into one map per output interval, and the interval
-    maps into one map from t_start to each grid time, applied to v = e1 and
-    N = 0.
+    The maps of `_magnus` from t_start, with the bound
+    |delta| + 2 max G + max K / 2 and the drive D (none when D = 0), are
+    applied to v = e1 and N = 0.
 
     `populations` are <n_i> = |v_i|^2 + N_ii and `final_state` is v at
     t_end.  `meta` holds the final `noise` N, the hygiene of the whole run
@@ -169,52 +301,28 @@ def propagate_channel(schedule: CouplingSchedule, detuning: float,
     """
     start = time.perf_counter()
     rates = np.array([dissipation.kappa1, dissipation.gamma_m, dissipation.kappa2])
+    diagonal = -1j * np.array([detuning, 0.0, detuning]) - 0.5 * rates
+
+    def generator(times):
+        g1, g2 = schedule.couplings(times)
+        a = np.zeros((3, 3, times.size), dtype=complex)
+        a[[0, 1, 2], [0, 1, 2]] = diagonal[:, None]
+        a[0, 1] = a[1, 0] = -1j * g1
+        a[1, 2] = a[2, 1] = -1j * g2
+        return a
+
+    heating = dissipation.gamma_m * dissipation.n_th
+    drive = np.diag([0.0, heating, 0.0])[:, :, None] if heating else None
+    bound = abs(detuning) + 2.0 * schedule.max_coupling + 0.5 * rates.max()
+    e, q, substeps = _magnus(generator, bound, grid, drive, substeps)
+
     n = grid.n_points - 1
-    if substeps is None:
-        bound = abs(detuning) + 2.0 * schedule.max_coupling + 0.5 * rates.max()
-        substeps = 2 ** max(0, int(np.ceil(np.log2(grid.dt * bound / MAGNUS_MAX_PHASE))))
-    steps = n * substeps
-    h = grid.span / steps
-    starts = grid.t_start + h * np.arange(steps)
-    c = np.sqrt(3.0) / 6.0
-    g1, g2 = schedule.couplings(np.concatenate([starts + h * (0.5 - c),
-                                                starts + h * (0.5 + c)]))
-    a = np.zeros((3, 3, 2 * steps), dtype=complex)
-    a[[0, 1, 2], [0, 1, 2]] = (-1j * np.array([detuning, 0.0, detuning])
-                               - 0.5 * rates)[:, None]
-    a[0, 1] = a[1, 0] = -1j * g1
-    a[1, 2] = a[2, 1] = -1j * g2
-    a_a, a_b = a[..., :steps], a[..., steps:]
-    weight = np.sqrt(3.0) * h * h / 12.0
-    omega = 0.5 * h * (a_a + a_b) + weight * (_mul(a_b, a_a) - _mul(a_a, a_b))
-    drive = np.diag([0.0, dissipation.gamma_m * dissipation.n_th, 0.0])[:, :, None]
-    forcing = h * drive + weight * _noise_map(a_b - a_a, drive)
-
-    # E = exp(Omega) and Q = sum_k L^k(forcing) / (k + 1)!, both by Horner
-    eye = np.eye(3)[:, :, None]
-    e, q = eye, forcing
-    for k in range(TAYLOR_ORDER, 0, -1):
-        e = eye + _mul(omega, e) / k
-        q = forcing + _noise_map(omega, q) / (k + 1)
-
-    e = e.reshape(3, 3, n, substeps)
-    q = q.reshape(3, 3, n, substeps)
-    while e.shape[-1] > 1:  # step 2j, then step 2j + 1
-        e, q = _compose((e[..., 1::2], q[..., 1::2]), (e[..., 0::2], q[..., 0::2]))
-    e, q = e[..., 0], q[..., 0]
-    # maps from t_start by recursive doubling: after the pass with offset d,
-    # entry k maps the start of interval max(0, k - 2d + 1) to the end of k
-    offset = 1
-    while offset < n:
-        e[..., offset:], q[..., offset:] = _compose(
-            (e[..., offset:], q[..., offset:]), (e[..., :-offset], q[..., :-offset]))
-        offset *= 2
-
     v = np.zeros((n + 1, 3), dtype=complex)
     v[0, 0] = 1.0
     v[1:] = e[:, 0].T
     noise = np.zeros((n + 1, 3, 3), dtype=complex)
-    noise[1:] = np.moveaxis(q, -1, 0)
+    if q is not None:
+        noise[1:] = np.moveaxis(q, -1, 0)
 
     populations = np.abs(v) ** 2 + np.einsum("kii->ki", noise).real
     norms = np.linalg.norm(v, axis=1)
@@ -225,9 +333,8 @@ def propagate_channel(schedule: CouplingSchedule, detuning: float,
         "min_noise_eigenvalue": float(np.linalg.eigvalsh(
             0.5 * (noise + noise_dagger)).min()),
         "norm_growth": float(np.diff(norms).max()),
-        "steps": steps, "substeps": substeps,
-        "solve_s": time.perf_counter() - start, "picture": "gaussian",
     }
+    meta.update(_solve_meta(start, n, substeps, "gaussian"))
     return Trajectory(grid.times, populations, v[-1].copy(), meta)
 
 

@@ -17,7 +17,9 @@ M2 with off-diagonal G1 G2 / delta; choosing G1 = G2 = sqrt(delta theta_dot)
 matches |M2| to |M1| pointwise.
 
 Every generator (M, M1, M2 and the generic correction) is returned as a plain
-complex (3, 3) array; the eigenmodes of M at time t are
+complex (3, 3) array; M, M1 and M2 also take an array of T times (or
+couplings) and return a (3, 3, T) stack, the form the Magnus stepper
+evaluates.  The eigenmodes of M at time t are
 `closed_form_eigensystem(*schedule.couplings(t))`.
 """
 
@@ -45,13 +47,23 @@ class EigenSystem:
     modes: np.ndarray
 
 
-def build_adiabatic_matrix(schedule: CouplingSchedule, t: float) -> np.ndarray:
+def build_adiabatic_matrix(schedule: CouplingSchedule, t) -> np.ndarray:
     """The real symmetric coupling matrix M(t) with zero diagonal, as a
-    complex (3, 3) array."""
+    complex (3, 3) array, or (3, 3, T) for an array of T times."""
     g1, g2 = schedule.couplings(t)
-    return np.array([[0.0, g1, 0.0],
-                     [g1, 0.0, g2],
-                     [0.0, g2, 0.0]], dtype=complex)
+    m = np.zeros((3, 3) + np.shape(g1), dtype=complex)
+    m[0, 1] = m[1, 0] = g1
+    m[1, 2] = m[2, 1] = g2
+    return m
+
+
+def _corner(value, sign: float) -> np.ndarray:
+    """(3, 3) array, or (3, 3, T) for T values, that is zero except for
+    `value` at [0, 2] and `sign * value` at [2, 0]."""
+    m = np.zeros((3, 3) + np.shape(value), dtype=complex)
+    m[0, 2] = value
+    m[2, 0] = sign * value
+    return m
 
 
 def closed_form_eigensystem(g1: float, g2: float) -> EigenSystem:
@@ -71,24 +83,22 @@ def closed_form_eigensystem(g1: float, g2: float) -> EigenSystem:
     return EigenSystem(values, modes)
 
 
-def coupling_g_scalar(schedule: CouplingSchedule, t: float) -> float:
-    """The counter-diabatic scalar G = (g1dot g2 - g1 g2dot)/g0^2 at time t;
-    0 at an instant where both couplings vanish (no drive, no correction)."""
+def coupling_g_scalar(schedule: CouplingSchedule, t):
+    """The counter-diabatic scalar G = (g1dot g2 - g1 g2dot)/g0^2 at time t
+    (a float), or at an array of times; 0 at an instant where both couplings
+    vanish (no drive, no correction)."""
     g1, g2 = schedule.couplings(t)
     d1, d2 = schedule.coupling_rates(t)
-    g0sq = float(g1) ** 2 + float(g2) ** 2
-    if g0sq == 0.0:
-        return 0.0
-    return float((d1 * g2 - g1 * d2) / g0sq)
+    g0sq = g1 ** 2 + g2 ** 2
+    g = np.where(g0sq > 0, (d1 * g2 - g1 * d2) / np.where(g0sq > 0, g0sq, 1.0), 0.0)
+    return float(g) if g.ndim == 0 else g
 
 
-def counterdiabatic_matrix(schedule: CouplingSchedule, t: float) -> np.ndarray:
-    """The transitionless matrix M1(t) as a (3, 3) array: purely imaginary,
-    antisymmetric, with only the outer-mode corner entries nonzero."""
-    g_scalar = coupling_g_scalar(schedule, t)
-    return np.array([[0.0, 0.0, 1j * g_scalar],
-                     [0.0, 0.0, 0.0],
-                     [-1j * g_scalar, 0.0, 0.0]], dtype=complex)
+def counterdiabatic_matrix(schedule: CouplingSchedule, t) -> np.ndarray:
+    """The transitionless matrix M1(t) as a (3, 3) array, or (3, 3, T) for an
+    array of T times: purely imaginary, antisymmetric, with only the
+    outer-mode corner entries nonzero."""
+    return _corner(1j * coupling_g_scalar(schedule, t), -1.0)
 
 
 def generic_counterdiabatic(basis_fn, t: float, dt: float = 1e-4) -> np.ndarray:
@@ -140,20 +150,19 @@ def tqd_detuning_ratio(nu: float, delta: float) -> float:
     return float(delta / tqd_max_coupling(nu, delta))
 
 
-def effective_matrix(g_1: float, g_2: float, delta: float) -> np.ndarray:
-    """The adiabatically eliminated beam-splitter matrix M2 as a (3, 3) array,
-    with off-diagonal G1 G2 / delta on the outer-mode corner."""
+def effective_matrix(g_1, g_2, delta: float) -> np.ndarray:
+    """The adiabatically eliminated beam-splitter matrix M2 as a (3, 3) array
+    (or (3, 3, T) for arrays of couplings), with off-diagonal G1 G2 / delta
+    on the outer-mode corner."""
     if delta == 0:
         raise InvalidParameterError("delta must be nonzero")
-    omega = g_1 * g_2 / delta
-    return np.array([[0.0, 0.0, omega],
-                     [0.0, 0.0, 0.0],
-                     [omega, 0.0, 0.0]], dtype=complex)
+    return _corner(g_1 * g_2 / delta, 1.0)
 
 
-def effective_matrix_at(schedule: CouplingSchedule, t: float) -> np.ndarray:
-    """M2(t) evaluated from a synthesized schedule's own couplings."""
+def effective_matrix_at(schedule: CouplingSchedule, t) -> np.ndarray:
+    """M2(t) evaluated from a synthesized schedule's own couplings, at a time
+    or at an array of times."""
     if schedule.kind != "tqd":
         raise InvalidParameterError("effective_matrix_at requires a tqd schedule")
     g1, g2 = schedule.couplings(t)
-    return effective_matrix(float(g1), float(g2), schedule.delta)
+    return effective_matrix(g1, g2, schedule.delta)

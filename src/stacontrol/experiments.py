@@ -9,15 +9,14 @@
 * decay scan   -- open-system fidelity vs cavity decay kappa for the adiabatic
                   and transitionless protocols, on the exact Gaussian channel.
 
-Runs are deterministic: fixed integrators, fixed tolerances and step rules,
-no randomness.  Each scan is one settings record: the run keywords its rows
-share, the swept axis, the metric and, for the closed metrics, the rtol.
-Every row runs from that record plus its axis value through `converged_run`,
-which runs the point twice and carries the metric change as the row's
-convergence delta, plus the first run's trajectory: a closed point at the
-relative tolerance and at half of it, an open point at the step rule's
-Magnus sub-steps and at twice as many.  Scan points may be distributed over a
-process pool; result assembly is order-preserving.
+Every run, closed or open, takes fixed fourth-order Magnus steps on the
+3x3 generator (`dynamics._magnus`): runs are deterministic, with fixed step
+rules and no randomness.  Each scan is one settings record: the run keywords
+its rows share, the swept axis and the metric.  Every row runs from that
+record plus its axis value through `converged_run`, which runs the point at
+the step rule's sub-steps and at twice as many and carries the metric change
+as the row's convergence delta, plus the first run's trajectory.  Scan points
+may be distributed over a process pool; result assembly is order-preserving.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import numpy as np
 
 from .core import CouplingSchedule, Dissipation, TimeGrid
 from .dynamics import (
-    RTOL_UNITARY,
     Trajectory,
     channel_fidelity,
     propagate_amplitudes,
@@ -120,27 +118,27 @@ def fig2_grid(nu: float, n_points: int | None = None) -> TimeGrid:
     return base.widen(FIG2_PAD_WIDTHS / nu)
 
 
-def run_fig2_scenario(nu: float, g0: float = 1.0, n_points: int | None = None,
-                      rtol: float = RTOL_UNITARY) -> Fig2Scenario:
+def run_fig2_scenario(nu: float, g0: float = 1.0,
+                      n_points: int | None = None) -> Fig2Scenario:
     grid = fig2_grid(nu, n_points)
     schedule = CouplingSchedule.vitanov(g0=g0, nu=nu)
     g1, g2 = schedule.couplings(grid.times)
     v0 = np.array([1.0, 0.0, 0.0], dtype=complex)
     adiabatic = propagate_amplitudes(
-        lambda t: build_adiabatic_matrix(schedule, t), v0, grid, rtol=rtol)
-    tqd = propagate_tqd_amplitudes(schedule, v0, grid, rtol=rtol)
+        lambda t: build_adiabatic_matrix(schedule, t), v0, grid,
+        bound=2.0 * schedule.max_coupling)
+    tqd = propagate_tqd_amplitudes(schedule, v0, grid)
     return Fig2Scenario(nu, grid, np.column_stack([g1, g2]), adiabatic, tqd)
 
 
 def run_fig2_suite(nus=(0.5, 1.0, 2.0), g0: float = 1.0,
-                   n_points: int | None = None,
-                   rtol: float = RTOL_UNITARY) -> dict[float, Fig2Scenario]:
+                   n_points: int | None = None) -> dict[float, Fig2Scenario]:
     """Coupling traces plus adiabatic and transitionless population histories
     for each shape rate, from the 3x3 amplitude engine with v0 = [1, 0, 0]."""
     nus = tuple(float(nu) for nu in nus)
     if len(set(nus)) < len(nus):
         raise InvalidParameterError(f"shape rates must be distinct, got {nus}")
-    return {nu: run_fig2_scenario(nu, g0, n_points, rtol) for nu in nus}
+    return {nu: run_fig2_scenario(nu, g0, n_points) for nu in nus}
 
 
 # -- fig4: optomechanical photon-phonon transfer ----------------------------
@@ -159,12 +157,14 @@ class TransferResult:
 def run_fig4_transfer(delta: float = 40.0, nu: float = 2.0,
                       grid: TimeGrid | None = None,
                       delays: tuple[float, float] = (0.0, 0.0),
-                      rtol: float = RTOL_UNITARY,
-                      ratio_warn: float = 5.0) -> TransferResult:
+                      ratio_warn: float = 5.0,
+                      substeps: int | None = None) -> TransferResult:
     """The optomechanical transfer from |100> with synthesized pulses.  H3
     conserves the excitation number, so this is exactly, for any Fock
     truncation, i dv/dt = (M(t) + diag(delta, 0, delta)) v from v0 = [1, 0, 0],
-    with |v_i|^2 the mode occupations <n_i>."""
+    with |v_i|^2 the mode occupations <n_i>.  `substeps` are the Magnus steps
+    per output interval, by default those of the step rule with the bound
+    |delta| + 2 max G."""
     schedule = synthesize_tqd_pulses(nu, delta).with_delays(*delays)
     ratio = tqd_detuning_ratio(nu, delta)
     if ratio < ratio_warn:
@@ -174,10 +174,11 @@ def run_fig4_transfer(delta: float = 40.0, nu: float = 2.0,
             "adiabatic elimination may be poor", stacklevel=2)
     if grid is None:
         grid = TimeGrid.vitanov_default(nu)
-    detunings = np.diag([delta, 0.0, delta]).astype(complex)  # M's dtype: no cast per call
+    detunings = np.diag([delta, 0.0, delta]).astype(complex)[:, :, None]
     traj = propagate_amplitudes(
         lambda t: build_adiabatic_matrix(schedule, t) + detunings,
-        np.array([1.0, 0.0, 0.0], dtype=complex), grid, rtol=rtol)
+        np.array([1.0, 0.0, 0.0], dtype=complex), grid,
+        bound=abs(delta) + 2.0 * schedule.max_coupling, substeps=substeps)
     return TransferResult(
         trajectory=traj,
         max_phonon=float(traj.populations[:, 1].max()),
@@ -188,25 +189,28 @@ def run_fig4_transfer(delta: float = 40.0, nu: float = 2.0,
 
 # -- scan rows --------------------------------------------------------------
 
+def _metric_run(metric: str, **run_args):
+    """(own result, trajectory, metric) of one run: `decay_run` for
+    "fidelity-F", `run_fig4_transfer` for "final-p2" and "max-phonon"."""
+    if metric == "fidelity-F":
+        traj, value = res = decay_run(**run_args)
+        return res, traj, value
+    res = run_fig4_transfer(**run_args)
+    return res, res.trajectory, getattr(
+        res, "max_phonon" if metric == "max-phonon" else "final_p2")
+
+
 def converged_run(metric: str, **run_args):
     """One point run twice: the convergence policy of every scan row.
 
-    "fidelity-F" runs `decay_run` with `run_args` at the step rule's
-    sub-steps and at twice as many; "final-p2" and "max-phonon" run
-    `run_fig4_transfer` with `run_args` at their `rtol` and at half of it.
-    Returns the first run's own result (decay_run's (trajectory, F) pair, or
-    a TransferResult), its trajectory, its metric and the metric's change
-    (the convergence delta)."""
-    if metric == "fidelity-F":
-        traj, value = res = decay_run(**run_args)
-        _, finer = decay_run(**run_args, substeps=2 * traj.meta["substeps"])
-        return res, traj, value, abs(value - finer)
-    rtol = run_args.pop("rtol")
-    res = run_fig4_transfer(**run_args, rtol=rtol)
-    half = run_fig4_transfer(**run_args, rtol=rtol / 2)
-    attr = "max_phonon" if metric == "max-phonon" else "final_p2"
-    value = getattr(res, attr)
-    return res, res.trajectory, value, abs(value - getattr(half, attr))
+    The metric's run (`decay_run` for "fidelity-F", `run_fig4_transfer` for
+    "final-p2" and "max-phonon") goes with `run_args` at the step rule's
+    Magnus sub-steps and at twice as many.  Returns the first run's own
+    result (decay_run's (trajectory, F) pair, or a TransferResult), its
+    trajectory, its metric and the metric's change (the convergence delta)."""
+    res, traj, value = _metric_run(metric, **run_args)
+    *_, finer = _metric_run(metric, **run_args, substeps=2 * traj.meta["substeps"])
+    return res, traj, value, abs(value - finer)
 
 
 def _scan_row(item):
@@ -227,8 +231,7 @@ def _scan(values, settings: dict, workers: int) -> ScanResult:
 
     `settings` names the `metric` and the swept `axis` ("delta_t" shifts the
     named `pulse`; any other axis is a run keyword), and holds every other
-    keyword of the run (a closed scan's `rtol` included), with a grid as its
-    field mapping.
+    keyword of the run, with a grid as its field mapping.
     """
     values = tuple(float(v) for v in values)
     if not values:
@@ -245,8 +248,7 @@ def _scan(values, settings: dict, workers: int) -> ScanResult:
 # -- detuning scan ----------------------------------------------------------
 
 def run_detuning_scan(deltas, nu: float = 2.0, dims=None,
-                      n_points: int = 2001, rtol: float = RTOL_UNITARY,
-                      workers: int = 1) -> ScanResult:
+                      n_points: int = 2001, workers: int = 1) -> ScanResult:
     """Per delta: synthesize pulses, run the transfer, record the max
     phonon population and the ratio delta/maxG.
 
@@ -256,7 +258,7 @@ def run_detuning_scan(deltas, nu: float = 2.0, dims=None,
     """
     # `dims` is ignored: the run needs no truncation; bench/workloads.py passes it
     settings = {"metric": "max-phonon", "axis": "delta", "nu": nu,
-                "grid": asdict(TimeGrid(0.0, 10.0 / nu, n_points)), "rtol": rtol}
+                "grid": asdict(TimeGrid(0.0, 10.0 / nu, n_points))}
     result = _scan(deltas, settings, workers)
     ratios = np.array([tqd_detuning_ratio(nu, row[0]) for row in result.rows])
     result.meta["detuning_ratios"] = ratios
@@ -282,7 +284,7 @@ def delay_scan_grid(nu: float, pad: float = DEFAULT_DELAY_PAD,
 def run_delay_scan(delta_ts, which_pulse: str, delta: float = 40.0,
                    nu: float = 2.0, dims=None,
                    pad: float = DEFAULT_DELAY_PAD, n_points: int = 2001,
-                   rtol: float = RTOL_UNITARY, workers: int = 1) -> ScanResult:
+                   workers: int = 1) -> ScanResult:
     """Shift the named pulse ("G1", "G2" or "both") by each dt and rerun
     the transfer.
 
@@ -299,7 +301,7 @@ def run_delay_scan(delta_ts, which_pulse: str, delta: float = 40.0,
     # `dims` is ignored: the run needs no truncation; bench/workloads.py passes it
     settings = {"metric": "final-p2", "axis": "delta_t", "pulse": which_pulse,
                 "delta": delta, "nu": nu,
-                "grid": asdict(delay_scan_grid(nu, pad, n_points)), "rtol": rtol}
+                "grid": asdict(delay_scan_grid(nu, pad, n_points))}
     return _scan(delta_ts, settings, workers)
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -65,8 +66,7 @@ class TestConfigResolution:
         resolved = json.loads((first / "manifest.json").read_text())["resolved_config"]
         assert resolved == {
             "schedule": {"nu": 1.5, "delta": 40.0},
-            "grid": {"t_start": 0.0, "t_end": 10.0 / 1.5, "n_points": 101},
-            "solver": {"rtol_unitary": 1e-9}}
+            "grid": {"t_start": 0.0, "t_end": 10.0 / 1.5, "n_points": 101}}
         path = write_config(tmp_path, json.dumps(resolved), "resolved.yaml")
         assert main(["transfer", "--config", str(path), "--out", str(second)]) == 0
         assert csv_bytes(second) == csv_bytes(first)
@@ -235,17 +235,20 @@ class TestSaveTrajectories:
 
     def test_scan_detuning_solves_each_row_twice(self, tmp_path, monkeypatch):
         calls = []
-        solve_ivp = dynamics.solve_ivp
+        magnus = dynamics._magnus
 
         def counting(*args, **kwargs):
-            calls.append(kwargs["rtol"])
-            return solve_ivp(*args, **kwargs)
+            maps = magnus(*args, **kwargs)
+            calls.append(maps[-1])  # the run's sub-steps per interval
+            return maps
 
-        monkeypatch.setattr(dynamics, "solve_ivp", counting)
+        monkeypatch.setattr(dynamics, "_magnus", counting)
         out = tmp_path / "out"
         assert main(["scan-detuning", "--values", "30", "45", "--workers", "1",
                      "--save-trajectories", "--out", str(out)]) == 0
-        assert len(calls) == 4      # rtol and rtol/2 per row, no reruns
+        # the step rule's sub-steps and twice as many per row, no reruns
+        assert len(calls) == 4
+        assert calls[1] == 2 * calls[0] and calls[3] == 2 * calls[2]
         _, rows = read_table(out / "scan_detuning.csv")
         for i, (_, max_phonon, _, _) in enumerate(rows):
             _, traj = read_table(out / f"trajectory_{i:03d}.csv")
@@ -284,20 +287,19 @@ GRID = {"grid.t_start", "grid.t_end", "grid.n_points"}
 # subcommand -> (cheap arguments, the fields its run reads)
 SUBCOMMANDS = {
     "derive-pulse": ([], {"schedule.nu", "schedule.delta"} | GRID),
-    "transfer": ([], {"schedule.nu", "schedule.delta", "solver.rtol_unitary"} | GRID),
-    "fig2-suite": (["--nu", "2"], {"solver.rtol_unitary"}),
-    "scan-detuning": (["--values", "40"], {"schedule.nu", "solver.rtol_unitary"}),
-    "scan-delay": (["--values", "0.1"], {"schedule.nu", "schedule.delta",
-                                         "solver.rtol_unitary"}),
+    "transfer": ([], {"schedule.nu", "schedule.delta"} | GRID),
+    "fig2-suite": (["--nu", "2"], set()),
+    "scan-detuning": (["--values", "40"], {"schedule.nu"}),
+    "scan-delay": (["--values", "0.1"], {"schedule.nu", "schedule.delta"}),
     "scan-decay": (["--values", "0.01", "--protocol", "tqd"],
                    {"dissipation.gamma_m", "dissipation.n_th"}),
 }
 
 
-def test_eight_settable_fields():
+def test_seven_settable_fields():
     accepted = set().union(*(fields for _, fields in SUBCOMMANDS.values()))
     assert accepted == {f"{s}.{k}" for s, fields in FIELDS.items() for k in fields}
-    assert len(accepted) == 8 and accepted < set(OLD_FIELDS)
+    assert len(accepted) == 7 and accepted < set(OLD_FIELDS)
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
@@ -332,6 +334,33 @@ def test_every_field_reaches_the_run_or_exits_1(tmp_path, capsys, command):
             assert not out.exists(), field
 
 
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_no_run_reaches_solve_ivp(tmp_path, monkeypatch, command):
+    """Every subcommand runs on the Magnus stepper; DOP853 serves only the
+    Fock and Lindblad oracles."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_ivp called")
+
+    monkeypatch.setattr(dynamics, "solve_ivp", no_solve)
+    argv, _ = SUBCOMMANDS[command]
+    assert main([command, *argv, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("scan-decay", ["--values", "1e300", "--protocol", "tqd"]),
+    ("transfer", ["--nu", "1e-300"]),
+])
+def test_step_count_above_the_cap_is_1(tmp_path, capsys, command, argv):
+    start = time.perf_counter()
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Magnus steps" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_scan_decay_manifest_records_the_run(tmp_path):
     out = tmp_path / "out"
     assert main(["scan-decay", "--values", "0.01", "--protocol", "tqd",
@@ -359,7 +388,7 @@ def test_scan_manifest_records_the_run(tmp_path, command, argv, grid, record):
     settings = json.loads((out / "manifest.json").read_text())["settings"]
     assert settings["grid"] == grid
     assert "dims" not in settings and settings["nu"] == 2.0
-    assert settings["rtol"] == 1e-9
+    assert "rtol" not in settings
     assert settings.items() >= record.items()
 
 

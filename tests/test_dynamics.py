@@ -35,7 +35,7 @@ def padded_grid(nu, n_points=2001):
 class TestPropagateAmplitudes:
     def test_zero_matrix_is_identity(self):
         grid = TimeGrid(0.0, 5.0, 101)
-        traj = propagate_amplitudes(lambda t: np.zeros((3, 3)), V0, grid)
+        traj = propagate_amplitudes(lambda t: np.zeros((3, 3, np.size(t))), V0, grid)
         np.testing.assert_allclose(traj.populations[:, 0], 1.0, atol=1e-12)
         np.testing.assert_allclose(traj.populations[:, 1:], 0.0, atol=1e-12)
 
@@ -69,7 +69,7 @@ class TestPropagateAmplitudes:
 
     def test_bad_initial_vector(self):
         with pytest.raises(InvalidParameterError):
-            propagate_amplitudes(lambda t: np.zeros((3, 3)),
+            propagate_amplitudes(lambda t: np.zeros((3, 3, np.size(t))),
                                  [1.0, 0.0], TimeGrid(0, 1, 11))
 
 

@@ -123,6 +123,19 @@ class TestDelayScan:
         np.testing.assert_array_equal(a.metric_values, b.metric_values)
         assert a.settings == b.settings
 
+    def test_default_row_matches_a_tight_fock_solve(self):
+        # nu = 2, delta = 40, G1 shifted by 0.3 on the default padded grid,
+        # against DOP853 on the Fock space at tight tolerances
+        result = run_delay_scan([0.3], "G1")
+        sched = synthesize_tqd_pulses(2.0, 40.0).with_delays(0.3, 0.0)
+        dims = (2, 2, 2)
+        fock = evolve_schrodinger(build_h3(sched, 40.0, 40.0, dims),
+                                  fock_state(dims, (1, 0, 0)), dims, delay_scan_grid(2.0),
+                                  rtol=1e-12, atol=1e-14)
+        (_, final_p2, delta), = result.rows
+        assert abs(final_p2 - fock.populations[-1, 2]) <= 1e-9
+        assert delta <= 1e-9
+
     def test_both_is_labelled(self):
         result = run_delay_scan([0.1], "both", n_points=101)
         assert result.settings["pulse"] == "both"

@@ -5,6 +5,7 @@ closed-form decay."""
 import numpy as np
 import pytest
 
+from stacontrol import dynamics
 from stacontrol.core import CouplingSchedule, Dissipation, SystemConfig, TimeGrid
 from stacontrol.dynamics import (
     build_h3,
@@ -16,6 +17,7 @@ from stacontrol.dynamics import (
     propagate_channel,
 )
 from stacontrol.engine import synthesize_tqd_pulses
+from stacontrol.errors import InvalidParameterError
 from stacontrol.experiments import decay_run, run_decay_scan, run_fig4_transfer
 
 NU = {"tqd": 2.0, "adiabatic": 0.5}
@@ -79,6 +81,35 @@ def test_step_rule_and_counters():
         assert traj.meta["substeps"] == substeps
         assert traj.meta["steps"] == 800 * substeps
         assert traj.meta["solve_s"] > 0
+    # the closed transfer: h (delta + 2 max G) = 0.0025 * 51.2 needs 2 sub-steps
+    meta = run_fig4_transfer().trajectory.meta
+    assert meta["substeps"] == 2 and meta["steps"] == 2000 * 2
+    assert meta["solve_s"] > 0 and meta["norm_drift"] < 1e-12
+    with pytest.raises(InvalidParameterError, match="power of two"):
+        decay_run(0.01, "tqd", NU["tqd"], substeps=3)
+
+
+def test_chunked_runs_match_one_chunk(monkeypatch):
+    """Steps built a few at a time, with the map carried between chunks,
+    give the one-chunk results: a closed delay row (8 sub-steps, 16 intervals
+    per chunk, built in blocks of 100 steps) and a decay run whose intervals
+    (16 sub-steps) each span four chunks (built in blocks of 3 steps)."""
+    grid = TimeGrid(-12.0, 17.0, 401)
+    closed = run_fig4_transfer(grid=grid, delays=(0.3, 0.0), substeps=8)
+    decay, f = decay_run(0.01, "tqd", NU["tqd"], n_points=201)
+    assert decay.meta["substeps"] == 16
+    monkeypatch.setattr(dynamics, "CHUNK_STEPS", 128)
+    monkeypatch.setattr(dynamics, "STEP_BLOCK", 100)
+    chunked = run_fig4_transfer(grid=grid, delays=(0.3, 0.0), substeps=8)
+    np.testing.assert_allclose(chunked.trajectory.populations,
+                               closed.trajectory.populations, rtol=0, atol=1e-13)
+    monkeypatch.setattr(dynamics, "CHUNK_STEPS", 4)
+    monkeypatch.setattr(dynamics, "STEP_BLOCK", 3)
+    chunked, chunked_f = decay_run(0.01, "tqd", NU["tqd"], n_points=201)
+    np.testing.assert_allclose(chunked.populations, decay.populations, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(chunked.meta["noise"], decay.meta["noise"], rtol=0,
+                               atol=1e-13)
+    assert abs(chunked_f - f) <= 1e-13
 
 
 def test_decay_scan_is_worker_invariant():
